@@ -50,6 +50,31 @@ def _parse_q(text: str, n: int) -> QSet:
     return QSet.parse(text, n)
 
 
+def _field_arg(text: str):
+    try:
+        return parse_field(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _degree_list(text: str) -> list[int]:
+    try:
+        degrees = [int(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from exc
+    if any(d < 1 for d in degrees):
+        raise argparse.ArgumentTypeError(f"degrees must be positive: {text!r}")
+    return degrees
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -134,12 +159,11 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = parse_field(args.field)
     q = _parse_q(args.q, args.n)
     if args.mode == "exhaustive":
-        report = exhaustive_check(args.n, spec, q, budget=args.budget)
+        report = exhaustive_check(args.n, args.field, q, budget=args.budget)
     else:
-        report = sampled_check(args.n, spec, q, args.samples, args.seed)
+        report = sampled_check(args.n, args.field, q, args.samples, args.seed)
     if args.json:
         _emit(report.to_json())
     else:
@@ -170,12 +194,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_cross_validate(args) -> int:
-    degrees = [int(tok) for tok in args.degrees.split(",")]
     if args.q is None:
         q_range = "all"
     else:
         q_range = [_parse_q(tok, args.n) for tok in args.q.split(";")]
-    report = cross_validate(args.n, args.char, degrees, q_range,
+    report = cross_validate(args.n, args.char, args.degrees, q_range,
                             budget=args.budget)
     if args.json:
         _emit(report.to_json())
@@ -246,13 +269,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the brute-force closure oracle")
     common(p, n=True, q=True)
-    p.add_argument("--field", required=True,
+    p.add_argument("--field", required=True, type=_field_arg,
                    help="field text, e.g. GF(5) or GF(2^2)")
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
     p.add_argument("--budget", type=int, default=5_000_000,
                    help="span-size budget for exhaustive mode")
-    p.add_argument("--samples", type=int, default=200,
+    p.add_argument("--samples", type=_nonnegative_int, default=200,
                    help="random pairs in sampled mode")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.set_defaults(handler=_cmd_verify)
@@ -266,7 +289,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cross-validate",
                        help="criterion vs oracle vs witnesses")
     common(p, char=True, n=True)
-    p.add_argument("--degrees", default="1",
+    p.add_argument("--degrees", type=_degree_list, default="1",
                    help="comma-separated extension degrees (default 1)")
     p.add_argument("--q", default=None,
                    help="semicolon-separated q-sets (default: all subsets)")

@@ -103,7 +103,12 @@ def nilpotency_index(x: ExactMatrix) -> int:
 def jordan_partition(x: ExactMatrix) -> Partition:
     """Cell sizes recovered from the defect sequence of the powers:
     the number of cells of size >= p is def(x^p) - def(x^(p-1))."""
-    defects = _defect_chain(x)
+    return partition_from_defects(_defect_chain(x))
+
+
+def partition_from_defects(defects) -> Partition:
+    """Cell sizes from the defects [def(x^1), ..., def(x^h)] of the powers
+    of a nilpotent matrix, the last one equal to its dimension."""
     counts = []
     prev = 0
     for d in defects:

@@ -7,16 +7,16 @@ and checks every combination a*X + b*Y.  Nilpotency of the candidates is
 recomputed by raw matrix powering so the oracle does not depend on the
 structure theory it is meant to check.
 
-The inner loop runs on integer-encoded field elements with numpy lookup
-tables; results are cached per (field, dimension, Jordan type) so scans
-over many q-sets reuse the enumeration.
+The inner loop runs on numpy integer arrays with native arithmetic mod p;
+a matrix over GF(p^k) enters as its regular representation over GF(p).
+Results are cached per (field, dimension, Jordan type) so scans over many
+q-sets reuse the enumeration.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,9 +27,15 @@ from .errors import (
     InfiniteField,
     InvalidQ,
     NotNilpotent,
+    OutOfRange,
 )
 from .field import FieldSpec, Poly, galois, roots_of_unity
-from .jordan import Partition, jordan_matrix, jordan_partition
+from .jordan import (
+    Partition,
+    jordan_matrix,
+    jordan_partition,
+    partition_from_defects,
+)
 from .matrices import ExactMatrix, centralizer_basis, poly_eval
 from .witness import (
     Witness,
@@ -73,132 +79,115 @@ def centralizer_dimension(p: Partition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numpy lookup-table engine for small finite fields
+# native mod-p engine
 # ---------------------------------------------------------------------------
+#
+# A matrix over GF(p^k) is handled as the nk x nk matrix over GF(p) of its
+# regular representation: each entry e becomes the k x k matrix of
+# multiplication by e on the basis 1, t, ..., t^(k-1).  The map is an
+# injective ring homomorphism, so sums, products and nilpotency carry over,
+# and a rank over GF(p^k) is the GF(p) rank divided by k.  For k = 1 it is
+# the identity.
 
-@dataclass(frozen=True)
-class _Tables:
-    q: int
-    add: np.ndarray
-    sub: np.ndarray
-    mul: np.ndarray
-    inv: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _tables(spec: FieldSpec) -> _Tables:
-    q = spec.order
-    elems = [spec.element_from_index(i) for i in range(q)]
-    add = np.zeros((q, q), dtype=np.int16)
-    sub = np.zeros((q, q), dtype=np.int16)
-    mul = np.zeros((q, q), dtype=np.int16)
-    inv = np.zeros(q, dtype=np.int16)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add[i, j] = spec.index_of(a + b)
-            sub[i, j] = spec.index_of(a - b)
-            mul[i, j] = spec.index_of(a * b)
-        if i:
-            inv[i] = spec.index_of(a.inverse())
-    return _Tables(q, add, sub, mul, inv)
+# Trace cells compared per step of the span scan.  The candidates of one
+# step set the oracle's peak memory; smaller steps lower it no further.
+_CHUNK_CELLS = 1 << 20
 
 
-def _encode(x: ExactMatrix) -> np.ndarray:
-    spec = x.spec
-    return np.array([spec.index_of(e) for row in x.rows for e in row],
-                    dtype=np.int16)
+def _dtype(p: int, size: int):
+    """Smallest signed int type holding a length-`size` dot product of
+    residues mod p plus one more residue, so every kernel reduces once per
+    operation and never wraps."""
+    bound = size * (p - 1) ** 2 + p
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    raise OutOfRange(f"characteristic {p} is too large for the oracle")
 
 
-def _decode(flat, spec: FieldSpec, n: int) -> ExactMatrix:
-    vals = [spec.element_from_index(int(v)) for v in flat]
-    return ExactMatrix(spec, [vals[i * n:(i + 1) * n] for i in range(n)])
-
-
-def _batch_matmul(a: np.ndarray, b: np.ndarray, tab: _Tables) -> np.ndarray:
-    """(B, n, n) x (B, n, n) product through the lookup tables."""
-    n = a.shape[1]
-    out = np.zeros_like(a)
-    for i in range(n):
-        for j in range(n):
-            acc = tab.mul[a[:, i, 0], b[:, 0, j]]
-            for k in range(1, n):
-                acc = tab.add[acc, tab.mul[a[:, i, k], b[:, k, j]]]
-            out[:, i, j] = acc
+def _regular_blocks(spec: FieldSpec) -> np.ndarray:
+    """(q, k, k) array: the GF(p) matrix of multiplication by each field
+    element, by enumeration index, on the basis 1, t, ..., t^(k-1)."""
+    k = spec.degree
+    powers_of_t = [spec.element_from_index(spec.char ** j) for j in range(k)]
+    out = np.zeros((spec.order, k, k), dtype=np.int64)
+    for c, e in enumerate(spec.elements()):
+        for j, t_j in enumerate(powers_of_t):
+            out[c, :, j] = (e * t_j).val
     return out
 
 
-def _batch_nilpotent(mats: np.ndarray, tab: _Tables) -> np.ndarray:
+def _regular(x: ExactMatrix, blocks: np.ndarray, dtype) -> np.ndarray:
+    """The nk x nk GF(p) regular representation of a GF(p^k) matrix."""
+    spec, n = x.spec, x.n
+    k = blocks.shape[1]
+    idx = np.array([[spec.index_of(e) for e in row] for row in x.rows],
+                   dtype=np.int64).reshape(n, n)
+    return blocks[idx].transpose(0, 2, 1, 3).reshape(n * k, n * k) \
+        .astype(dtype)
+
+
+def _batch_nilpotent(mats: np.ndarray, n: int, p: int) -> np.ndarray:
     """Mask of matrices whose n-th power vanishes, by repeated squaring."""
-    n = mats.shape[1]
     power = mats
     exponent = 1
     while exponent < n:
-        power = _batch_matmul(power, power, tab)
+        power = np.matmul(power, power) % p
         exponent *= 2
     return ~power.any(axis=(1, 2))
 
 
-def _batch_rank(mats: np.ndarray, tab: _Tables) -> np.ndarray:
-    """Ranks of a batch of square matrices by vectorized elimination."""
-    a = mats.copy()
-    batch, n, _ = a.shape
-    row = np.zeros(batch, dtype=np.int64)
-    cols = np.arange(n)
-    for col in range(n):
-        cand = (a[:, :, col] != 0) & (cols[None, :] >= row[:, None])
-        has = cand.any(axis=1)
-        idx = np.nonzero(has)[0]
-        if idx.size == 0:
-            continue
-        piv = np.argmax(cand[idx], axis=1)
-        r = row[idx]
-        # swap the pivot row up
-        tmp = a[idx, r, :].copy()
-        a[idx, r, :] = a[idx, piv, :]
-        a[idx, piv, :] = tmp
-        # normalize and eliminate everything below
-        pivinv = tab.inv[a[idx, r, col]]
-        a[idx, r, :] = tab.mul[pivinv[:, None], a[idx, r, :]]
-        factors = a[idx, :, col]
-        pivrow = a[idx, r, :]
-        reduced = tab.sub[a[idx], tab.mul[factors[:, :, None],
-                                          pivrow[:, None, :]]]
-        below = cols[None, :] > r[:, None]
-        a[idx] = np.where(below[:, :, None], reduced, a[idx])
-        row[idx] += 1
-    return row
+def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """GF(p) ranks of a batch of square matrices of residues by vectorized
+    elimination.
+
+    Each step clears the first column with a pivot row, including the
+    pivot row itself, and drops that column: the rank grows by one per
+    nonzero column and the rows that remain span the Schur complement.
+    Only the column and the pivot row are reduced mod p, so after s steps
+    an entry lies in [-s*(p-1)^2, p-1], which the dtype from `_dtype`
+    holds.
+    """
+    batch, size, _ = mats.shape
+    inverses = np.zeros(p, dtype=mats.dtype)
+    inverses[1:] = [pow(v, -1, p) for v in range(1, p)]
+    rows = np.arange(batch)
+    rank = np.zeros(batch, dtype=np.int64)
+    a = mats
+    for _ in range(size):
+        column = a[:, :, 0] % p
+        piv = (column != 0).argmax(axis=1)
+        pivval = column[rows, piv]
+        # zero where the column is zero, since inverses[0] == 0
+        pivrow = a[rows, piv, 1:] % p * inverses[pivval][:, None] % p
+        a = a[:, :, 1:] - column[:, :, None] * pivrow[:, None, :]
+        rank += pivval != 0
+    return rank
 
 
-def _batch_partitions(mats: np.ndarray, tab: _Tables) -> list[tuple[int, ...]]:
-    """Jordan partitions (descending part tuples) of nilpotent matrices."""
-    batch, n, _ = mats.shape
-    if batch == 0:
-        return []
-    defect_rows = []
+def _batch_partitions(mats: np.ndarray, n: int, k: int, p: int):
+    """Jordan partitions of a batch of nilpotent regular-representation
+    matrices, as (ids, partitions): partitions[ids[i]] is the descending
+    part tuple of mats[i], and each distinct partition appears once."""
+    # Defects of successive powers rise strictly until they reach n, so
+    # the set of values, kept as a bit mask, encodes the whole sequence.
+    codes = np.full(len(mats), 1 << n, dtype=np.int64)
+    live = np.arange(len(mats))         # rows whose power is still nonzero
     power = mats
-    while True:
-        d = n - _batch_rank(power, tab)
-        defect_rows.append(d)
-        if np.all(d == n):
+    for exponent in range(1, n + 1):
+        nonzero = power.any(axis=(1, 2))
+        live, power = live[nonzero], power[nonzero]
+        if live.size == 0:
             break
-        if len(defect_rows) > n:
+        if exponent == n:
             raise NotNilpotent("batch contains a non-nilpotent matrix")
-        power = _batch_matmul(power, mats, tab)
-    stacked = np.stack(defect_rows, axis=1)
-    out = []
-    for row in stacked:
-        counts, prev = [], 0
-        for d in row:
-            counts.append(int(d) - prev)
-            prev = int(d)
-            if d == n:
-                break
-        counts.append(0)
-        parts = []
-        for size in range(len(counts) - 1, 0, -1):
-            parts.extend([size] * (counts[size - 1] - counts[size]))
-        out.append(tuple(sorted(parts, reverse=True)))
-    return out
+        codes[live] |= np.left_shift(1, n - _batch_rank(power, p) // k)
+        power = np.matmul(power, mats[live]) % p
+    distinct, ids = np.unique(codes, return_inverse=True)
+    partitions = [
+        partition_from_defects([d for d in range(n + 1) if code >> d & 1]).parts
+        for code in distinct.tolist()]
+    return ids.reshape(-1), partitions
 
 
 # ---------------------------------------------------------------------------
@@ -206,83 +195,66 @@ def _batch_partitions(mats: np.ndarray, tab: _Tables) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _ClosureRecord:
-    y_index: int                       # odometer index into the span
-    y_partition: tuple[int, ...]
-    combo_partitions: tuple[tuple[int, ...], ...]   # X + c*Y for c = 1..q-1
-
-
-@dataclass(frozen=True)
 class _ClosureTable:
+    """Every nilpotent Y in the centralizer span of X, in enumeration
+    order: its odometer index, the id of its partition and the ids of the
+    partitions of X + c*Y for c = 1..q-1 (by enumeration index), all
+    indexing into `partitions`."""
     span_size: int
     x: ExactMatrix
     basis: tuple[ExactMatrix, ...]
-    records: tuple[_ClosureRecord, ...]
+    y_index: np.ndarray                 # (records,)
+    y_partition: np.ndarray             # (records,)
+    combo_partitions: np.ndarray        # (records, q - 1)
+    partitions: tuple[tuple[int, ...], ...]
 
 
 _CLOSURE_CACHE: dict = {}
 
 
-def _span_rows(basis_enc: np.ndarray, indices: np.ndarray,
-               tab: _Tables) -> np.ndarray:
-    """Span elements for the given odometer indices (last coefficient moves
-    fastest), as (len(indices), n*n) encoded rows."""
-    d, nn = basis_enc.shape
-    q = tab.q
-    out = np.zeros((len(indices), nn), dtype=np.int16)
-    rem = indices.copy()
-    for i in range(d - 1, -1, -1):
-        digit = rem % q
-        rem //= q
-        out = tab.add[out, tab.mul[digit[:, None].astype(np.int16),
-                                   basis_enc[i][None, :]]]
+def _span_rows(gens: np.ndarray, p: int) -> np.ndarray:
+    """Every GF(p) combination of the flattened generators, in odometer
+    order (last coefficient moves fastest)."""
+    out = np.zeros((1, gens.shape[1]), dtype=gens.dtype)
+    digits = np.arange(p, dtype=gens.dtype)[:, None]
+    for g in gens:
+        out = ((out[:, None, :] + (digits * g)[None]) % p) \
+            .reshape(-1, gens.shape[1])
     return out
 
 
-def _nilpotent_span_elements(basis_enc: np.ndarray, n: int, tab: _Tables):
-    """Odometer indices and encoded matrices of the nilpotent span elements,
-    in enumeration order."""
-    d = basis_enc.shape[0]
-    q = tab.q
-    total = q ** d
-    # split the digits in two halves so candidate rows come from one table
-    # lookup instead of a d-step fold
-    d_hi = d // 2
-    d_lo = d - d_hi
-    hi_idx = np.arange(q ** d_hi, dtype=np.int64)
-    lo_idx = np.arange(q ** d_lo, dtype=np.int64)
-    hi_rows = _span_rows(basis_enc[:d_hi], hi_idx, tab) \
-        if d_hi else np.zeros((1, n * n), dtype=np.int16)
-    lo_rows = _span_rows(basis_enc[d_hi:], lo_idx, tab)
-    diag = np.arange(n) * (n + 1)
-    hi_tr = hi_rows[:, diag[0]]
-    lo_tr = lo_rows[:, diag[0]]
-    for pos in diag[1:]:
-        hi_tr = tab.add[hi_tr, hi_rows[:, pos]]
-        lo_tr = tab.add[lo_tr, lo_rows[:, pos]]
-    indices_out = []
-    mats_out = []
-    chunk = max(1, (1 << 22) // max(len(lo_idx), 1))
-    for start in range(0, len(hi_idx), chunk):
-        stop = min(start + chunk, len(hi_idx))
-        trace = tab.add[hi_tr[start:stop, None], lo_tr[None, :]]
-        hi_sel, lo_sel = np.nonzero(trace == 0)  # nilpotent => trace zero
-        if hi_sel.size == 0:
-            continue
-        rows = tab.add[hi_rows[start + hi_sel], lo_rows[lo_sel]]
-        mats = rows.reshape(-1, n, n)
-        nil = _batch_nilpotent(mats, tab)
-        if not nil.any():
-            continue
-        keep = np.nonzero(nil)[0]
-        global_idx = (start + hi_sel[keep]).astype(np.int64) * len(lo_idx) \
-            + lo_sel[keep]
-        indices_out.append(global_idx)
-        mats_out.append(rows[keep])
-    if not indices_out:
-        return (np.zeros(0, dtype=np.int64),
-                np.zeros((0, n * n), dtype=np.int16), total)
-    return np.concatenate(indices_out), np.vstack(mats_out), total
+def _trace_codes(rows: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
+    """Enumeration index of the GF(p^k) trace of each flattened regular
+    matrix: column 0 of the summed diagonal blocks."""
+    diag = np.arange(n)
+    blocks = rows.reshape(-1, n, k, n, k)[:, diag, :, diag, 0]   # (n, B, k)
+    trace = blocks.astype(np.int64).sum(axis=0) % p
+    return trace @ (p ** np.arange(k, dtype=np.int64))
+
+
+def _nilpotent_span_elements(gens: np.ndarray, n: int, k: int, p: int):
+    """Odometer indices and regular matrices of the nilpotent elements of
+    the GF(p) span of `gens`, in enumeration order, and the span size."""
+    size = n * k
+    d_hi = len(gens) // 2
+    hi_rows = _span_rows(gens[:d_hi], p)
+    lo_rows = _span_rows(gens[d_hi:], p)
+    # nilpotent => trace zero, i.e. trace(lo) == -trace(hi)
+    hi_codes = _trace_codes((-hi_rows) % p, n, k, p)
+    lo_codes = _trace_codes(lo_rows, n, k, p)
+    indices_out, mats_out = [], []
+    chunk = max(1, _CHUNK_CELLS // len(lo_rows))
+    for start in range(0, len(hi_rows), chunk):
+        hi_sel, lo_sel = np.nonzero(
+            hi_codes[start:start + chunk, None] == lo_codes[None, :])
+        mats = ((hi_rows[start + hi_sel] + lo_rows[lo_sel]) % p) \
+            .reshape(-1, size, size)
+        keep = np.flatnonzero(_batch_nilpotent(mats, n, p))
+        indices_out.append((start + hi_sel[keep]) * len(lo_rows)
+                           + lo_sel[keep])
+        mats_out.append(mats[keep])
+    return (np.concatenate(indices_out), np.concatenate(mats_out),
+            len(hi_rows) * len(lo_rows))
 
 
 def _closure_table(spec: FieldSpec, n: int, p: Partition) -> _ClosureTable:
@@ -290,26 +262,33 @@ def _closure_table(spec: FieldSpec, n: int, p: Partition) -> _ClosureTable:
     cached = _CLOSURE_CACHE.get(key)
     if cached is not None:
         return cached
-    tab = _tables(spec)
-    q = tab.q
+    char, k, q = spec.char, spec.degree, spec.order
+    size = n * k
+    dtype = _dtype(char, size)
+    blocks = _regular_blocks(spec)
     x = jordan_matrix(p, n, spec)
     basis = tuple(centralizer_basis(x))
-    basis_enc = np.stack([_encode(b) for b in basis])
-    indices, y_rows, total = _nilpotent_span_elements(basis_enc, n, tab)
-    y_parts = _batch_partitions(y_rows.reshape(-1, n, n), tab)
-    x_enc = _encode(x)
-    records = []
-    k = len(indices)
-    if k:
-        combos = np.zeros((k, q - 1, n, n), dtype=np.int16)
-        for c in range(1, q):
-            scaled = tab.mul[np.int16(c), y_rows]
-            combos[:, c - 1] = tab.add[x_enc[None, :], scaled].reshape(-1, n, n)
-        combo_parts = _batch_partitions(combos.reshape(-1, n, n), tab)
-    for i in range(k):
-        row = tuple(combo_parts[i * (q - 1) + c] for c in range(q - 1))
-        records.append(_ClosureRecord(int(indices[i]), y_parts[i], row))
-    table = _ClosureTable(total, x, basis, tuple(records))
+    # generator t^j * B_i sits at position k*i + (k-1-j), so the GF(p)
+    # odometer index of a span element equals its GF(q) odometer index
+    gens = np.stack([
+        _regular(b.scale(spec.element_from_index(char ** j)), blocks, dtype)
+        .reshape(-1)
+        for b in basis for j in reversed(range(k))])
+    indices, y_mats, total = _nilpotent_span_elements(gens, n, k, char)
+    # slot 0 holds Y, slot c holds X + c*Y
+    records = len(indices)
+    x_reg = _regular(x, blocks, dtype)
+    batch = np.empty((q, records, size, size), dtype=dtype)
+    batch[0] = y_mats
+    eye = np.eye(n, dtype=np.int64)
+    for c in range(1, q):
+        scale = np.kron(eye, blocks[c]).astype(dtype)
+        batch[c] = (x_reg + np.matmul(scale, y_mats)) % char
+    ids, partitions = _batch_partitions(batch.reshape(-1, size, size),
+                                        n, k, char)
+    ids = ids.reshape(q, records)
+    table = _ClosureTable(total, x, basis, indices, ids[0], ids[1:].T,
+                          tuple(partitions))
     _CLOSURE_CACHE[key] = table
     return table
 
@@ -392,33 +371,36 @@ def exhaustive_check(n: int, spec: FieldSpec, q: QSet,
                 f"partition {p} needs {required} span elements "
                 f"(budget {budget})", partition=p, required=required)
     qset = set(q.elements)
-    elems = [spec.element_from_index(i) for i in range(spec.order)]
-    tab = _tables(spec)
+    order = spec.order
     matrices = pairs = combos = 0
     for p in parts_list:
         table = _closure_table(spec, n, p)
         matrices += table.span_size
-        for rec in table.records:
-            if not all(s in qset for s in rec.y_partition if s > 1):
-                continue
-            pairs += 1
-            for ai in range(spec.order):
-                for bi in range(spec.order):
-                    combos += 1
-                    if ai == 0 or bi == 0:
-                        continue  # a scaled copy of X, Y or zero: admitted
-                    c = int(tab.mul[bi, tab.inv[ai]])
-                    combo_part = rec.combo_partitions[c - 1]
-                    bad = [s for s in combo_part if s > 1 and s not in qset]
-                    if bad:
-                        y = _rebuild_span_element(table, rec.y_index, spec)
-                        a_val, b_val = elems[ai], elems[bi]
-                        w = Witness(
-                            "enumerated", spec, table.x, y, a_val, b_val,
-                            Partition(combo_part), max(bad))
-                        verify_witness(w, q)
-                        return OracleReport(
-                            "exhaustive", spec, n, q, "violation", w,
+        admitted = np.array([all(s in qset for s in part if s > 1)
+                             for part in table.partitions], dtype=bool)
+        kept = np.flatnonzero(admitted[table.y_partition])
+        bad = ~admitted[table.combo_partitions[kept]]
+        hits = np.flatnonzero(bad.any(axis=1))
+        if hits.size == 0:
+            pairs += kept.size
+            combos += order * order * kept.size
+            continue
+        # The verdict for (a, b) depends only on c = b/a, and a = 1 runs
+        # b through every c, so in (a, b) order the first violation of a
+        # record is a = 1, b = the least bad c, after the q pairs with a = 0.
+        first = int(hits[0])
+        c = int(np.argmax(bad[first])) + 1
+        pairs += first + 1
+        combos += order * order * first + order + 1 + c
+        record = kept[first]
+        combo_part = table.partitions[table.combo_partitions[record, c - 1]]
+        y = _rebuild_span_element(table, int(table.y_index[record]), spec)
+        w = Witness("enumerated", spec, table.x, y,
+                    spec.element_from_index(1), spec.element_from_index(c),
+                    Partition(combo_part),
+                    max(s for s in combo_part if s > 1 and s not in qset))
+        verify_witness(w, q)
+        return OracleReport("exhaustive", spec, n, q, "violation", w,
                             matrices, pairs, combos)
     return OracleReport("exhaustive", spec, n, q, "pass", None,
                         matrices, pairs, combos)
@@ -431,15 +413,15 @@ def exhaustive_check(n: int, spec: FieldSpec, q: QSet,
 def _random_poly(spec: FieldSpec, rng: random.Random, degree: int,
                  min_valuation: int = 1) -> Poly:
     """Random polynomial with valuation exactly min_valuation."""
-    coeffs = [0] * min_valuation
-    coeffs.append(rng.randrange(1, 5))
-    for _ in range(degree - min_valuation):
-        coeffs.append(rng.randrange(-3, 4))
-    poly = Poly.from_ints(spec, coeffs)
-    if poly.is_zero or poly.valuation() != min_valuation:
-        # a coefficient collapsed modulo the characteristic; retry
-        return _random_poly(spec, rng, degree, min_valuation)
-    return poly
+    while True:
+        coeffs = [0] * min_valuation
+        coeffs.append(rng.randrange(1, 5))
+        for _ in range(degree - min_valuation):
+            coeffs.append(rng.randrange(-3, 4))
+        poly = Poly.from_ints(spec, coeffs)
+        # retry when the leading draw vanishes modulo the characteristic
+        if not poly.is_zero and poly.valuation() == min_valuation:
+            return poly
 
 
 def _coefficient_pairs(spec: FieldSpec, rng: random.Random):
@@ -499,19 +481,16 @@ def sampled_check(n: int, spec: FieldSpec, q: QSet, samples: int,
             combo = x.scale(a) + y.scale(b)
             try:
                 part = jordan_partition(combo)
-            except NotNilpotent:
-                part = None
-            bad = None
-            if part is None:
-                bad = 0
-            else:
-                outside = [s for s in part if s > 1 and s not in qset]
-                if outside:
-                    bad = max(outside)
-            if bad:
-                w = Witness("enumerated", spec, x, y, a, b,
-                            part if part is not None else Partition([n]),
-                            bad)
+            except NotNilpotent as exc:
+                # combinations of commuting nilpotents are nilpotent, so
+                # the pair does not commute: the catalog is at fault
+                raise Inconsistency(
+                    f"sampled pair has a non-nilpotent combination "
+                    f"{a}*x + {b}*y over {spec}") from exc
+            outside = [s for s in part if s > 1 and s not in qset]
+            if outside:
+                w = Witness("enumerated", spec, x, y, a, b, part,
+                            max(outside))
                 verify_witness(w, q)
                 return w
         return None

@@ -139,6 +139,30 @@ def test_usage_errors(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--field", "GF(6)"], "characteristic 6 is not 0 or prime"),
+    (["verify", "--field", "GF(x)"], "unparsable field 'GF(x)'"),
+    (["verify", "--field", "GF(3)", "--mode", "sampled", "--samples", "-5"],
+     "must be non-negative, got -5"),
+])
+def test_verify_bad_arguments_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--n", "4", "--q", "2"] + argv[1:])
+    assert exc.value.code == 64
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("nilclose verify: error:") and message in last
+
+
+@pytest.mark.parametrize("degrees", ["x", "1,,2", "0"])
+def test_cross_validate_bad_degrees_are_usage_errors(capsys, degrees):
+    with pytest.raises(SystemExit) as exc:
+        main(["cross-validate", "--n", "4", "--char", "2",
+              "--degrees", degrees])
+    assert exc.value.code == 64
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("nilclose cross-validate: error: argument --degrees")
+
+
 def test_domain_error_exit(capsys):
     code, _, err = run(capsys, "criterion", "--n", "4", "--char", "6",
                        "--q", "2")

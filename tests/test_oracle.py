@@ -2,14 +2,24 @@
 representatives, and the cross validation against criterion and witnesses."""
 
 import itertools
+import json
+import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nilclose import oracle
 from nilclose.criterion import QSet, all_qsets, check_criterion, member_mq
-from nilclose.errors import BudgetExceeded, InfiniteField, NotNilpotent
+from nilclose.errors import (
+    BudgetExceeded,
+    Inconsistency,
+    InfiniteField,
+    NotNilpotent,
+)
 from nilclose.field import galois, rationals
 from nilclose.jordan import Partition, jordan_partition
-from nilclose.matrices import ExactMatrix
+from nilclose.matrices import ExactMatrix, rank
 from nilclose.oracle import (
     admissible_partitions,
     centralizer_dimension,
@@ -23,6 +33,10 @@ GF2 = galois(2)
 GF3 = galois(3)
 GF4 = galois(2, 2)
 GF7 = galois(7)
+GF9 = galois(3, 2)
+
+GOLDEN_N4 = json.loads(
+    (Path(__file__).parent / "data" / "oracle_n4_golden.json").read_text())
 
 
 def qs(elements, n):
@@ -70,6 +84,77 @@ def test_exhaustive_determinism():
     assert a == b
 
 
+@pytest.mark.parametrize("spec", [GF3, GF4], ids=str)
+def test_exhaustive_golden_n4(spec):
+    """Reports, with their counts and witnesses, as the lookup-table
+    engine printed them for every q at n = 4."""
+    golden = GOLDEN_N4[str(spec)]
+    for q in all_qsets(4):
+        assert exhaustive_check(4, spec, q).to_json() == golden[str(q)], str(q)
+
+
+def _random_element(spec, rng):
+    return spec.element_from_index(rng.randrange(spec.order))
+
+
+def _random_matrix(spec, n, rng):
+    """Random matrix of random rank: the product of a factor supported on
+    the first r columns and one supported on the first r rows."""
+    r = rng.randrange(n + 1)
+    zero = spec.zero()
+    u = ExactMatrix(spec, [[_random_element(spec, rng) if j < r else zero
+                            for j in range(n)] for _ in range(n)])
+    v = ExactMatrix(spec, [[_random_element(spec, rng) if i < r else zero
+                            for _ in range(n)] for i in range(n)])
+    return u * v
+
+
+def _random_nilpotent(spec, n, rng):
+    """Strictly upper triangular with sparse random entries, conjugated by
+    a few elementary matrices I + c*E_ij."""
+    zero = spec.zero()
+    x = ExactMatrix(spec, [[_random_element(spec, rng)
+                            if j > i and rng.random() < 0.5 else zero
+                            for j in range(n)] for i in range(n)])
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        c = _random_element(spec, rng)
+        e = [[spec.one() if a == b else zero for b in range(n)]
+             for a in range(n)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c
+        x = ExactMatrix(spec, e) * x * ExactMatrix(spec, e_inv)
+    return x
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF7, GF9, galois(251)], ids=str)
+def test_batch_kernels_match_exact_rank_and_partition(spec):
+    """The regular-representation kernels against the exact routines; the
+    extension fields check the representation, GF(251) the dtype and
+    GF(7) at n = 3 an int8 bound (115) close to the type's limit."""
+    rng = random.Random(spec.order)
+    p, k = spec.char, spec.degree
+    blocks = oracle._regular_blocks(spec)
+    for n in (3, 5):
+        dtype = oracle._dtype(p, n * k)
+        general = [_random_matrix(spec, n, rng) for _ in range(40)]
+        nilpotent = [_random_nilpotent(spec, n, rng) for _ in range(40)]
+        stack = np.stack([oracle._regular(x, blocks, dtype)
+                          for x in general + nilpotent])
+        ranks = oracle._batch_rank(stack, p)
+        assert (ranks % k == 0).all()
+        assert [int(r) // k for r in ranks] == \
+            [rank(x) for x in general + nilpotent]
+        ids, parts = oracle._batch_partitions(stack[len(general):], n, k, p)
+        assert [parts[i] for i in ids] == \
+            [jordan_partition(x).parts for x in nilpotent]
+    # a non-nilpotent matrix in the batch is refused
+    with pytest.raises(NotNilpotent):
+        oracle._batch_partitions(
+            oracle._regular(ExactMatrix.identity(spec, 2), blocks,
+                            oracle._dtype(p, 2 * k))[None], 2, k, p)
+
+
 def _all_nilpotent_3x3_gf2():
     out = []
     for bits in range(2 ** 9):
@@ -114,6 +199,33 @@ def test_sampled_examples():
     assert report.violation.violating_size == 4
     verify_witness(report.violation, qs([2, 3, 5], 6))
     assert sampled_check(2, GF3, qs([2], 2), 60, seed=3).passed
+
+
+def test_sampled_refuses_non_nilpotent_combination(monkeypatch):
+    """E12 and E21 are nilpotent but do not commute: E12 + E21 squares to
+    the identity, which must surface as an inconsistency, not a pass."""
+    e12 = ExactMatrix.from_ints(GF3, [[0, 1], [0, 0]])
+    e21 = ExactMatrix.from_ints(GF3, [[0, 0], [1, 0]])
+    monkeypatch.setattr(oracle, "_witness_family_pairs",
+                        lambda n, spec, q: [(e12, e21)])
+    with pytest.raises(Inconsistency):
+        sampled_check(2, GF3, qs([2], 2), 0, seed=0)
+
+
+def test_random_poly_retries_without_recursion():
+    """Leading draws that vanish mod 2 are retried in a loop, however many
+    there are."""
+    class EvenFirst:
+        left = 5000
+
+        def randrange(self, start, stop):
+            if start == 1 and self.left:
+                self.left -= 1
+                return 2
+            return start if start > 0 else 0
+
+    poly = oracle._random_poly(GF2, EvenFirst(), 3, 1)
+    assert poly.valuation() == 1 and poly.degree == 1
 
 
 def test_sampled_determinism():
