@@ -21,7 +21,6 @@ from .field import (
     Poly,
     Scalar,
     extension_for_roots,
-    field_arithmetic,
     galois,
     geometric_sum,
     parse_field,
@@ -79,7 +78,7 @@ __all__ = [
     "is_char_power", "member_full", "member_mq", "member_ms",
     "NilcloseError",
     "FieldSpec", "Poly", "Scalar", "extension_for_roots",
-    "field_arithmetic", "galois", "geometric_sum", "parse_field",
+    "galois", "geometric_sum", "parse_field",
     "rationals", "roots_of_unity", "surrogate_prime",
     "GSet", "Partition", "g_set", "is_semisimple", "jordan_chevalley",
     "jordan_matrix", "jordan_partition", "nilpotency_index",

@@ -69,7 +69,11 @@ def _degree_list(text: str) -> list[int]:
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from exc
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
@@ -230,7 +234,7 @@ def build_parser() -> _Parser:
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")
         if n:
-            p.add_argument("--n", type=int, required=True,
+            p.add_argument("--n", type=_nonnegative_int, required=True,
                            help="matrix dimension")
         if char:
             p.add_argument("--char", type=int, required=True,

@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BoundExceeded, InvalidQ, NonPrimeChar, NotNilpotent
+from .errors import (
+    BoundExceeded,
+    InvalidQ,
+    NonPrimeChar,
+    NotNilpotent,
+    OutOfRange,
+)
 from .field import is_prime
 from .jordan import g_set, jordan_chevalley, is_semisimple
 from .matrices import ExactMatrix
@@ -130,6 +136,8 @@ def check_criterion(n: int, char: int, q: QSet) -> CriterionResult:
     characteristic.  The anchor m0 is existential: all candidates are tried
     in ascending order and the first success is reported."""
     _validate_char(char)
+    if n < 0:
+        raise OutOfRange(f"dimension must be non-negative, got {n}")
     if q.n != n:
         raise InvalidQ(f"q has ambient dimension {q.n}, expected {n}")
     if len(q) == 0:

@@ -21,6 +21,10 @@ class DimensionMismatch(NilcloseError):
     """Matrix operands have incompatible dimensions."""
 
 
+class MalformedMatrix(NilcloseError, ValueError):
+    """A matrix file or JSON object does not describe a square matrix."""
+
+
 class ZeroPolynomial(NilcloseError):
     """Operation undefined for the zero polynomial."""
 

@@ -680,23 +680,13 @@ class Poly:
 # module operations
 # ---------------------------------------------------------------------------
 
-def field_arithmetic(x: Scalar, y: Scalar, op: str) -> Scalar:
-    """Exact add/sub/mul/div on two elements of the same field."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if y.is_zero:
-            raise DivisionByZero("division by zero")
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
 def roots_of_unity(spec: FieldSpec, m: int) -> list[Scalar]:
-    """All field elements whose m-th power is one, in enumeration order."""
+    """All field elements whose m-th power is one, in enumeration order.
+
+    Over a finite field they are the cyclic subgroup of order
+    d = gcd(m, q - 1) of the multiplicative group, generated by the first
+    x^((q-1)/d) of exact order d; so no scan of the whole field is needed.
+    """
     if m < 1:
         raise ValueError("m must be positive")
     one = spec.one()
@@ -705,7 +695,17 @@ def roots_of_unity(spec: FieldSpec, m: int) -> list[Scalar]:
         if m % 2 == 0:
             roots.append(-one)
         return roots
-    return [x for x in spec.elements() if not x.is_zero and x ** m == one]
+    q = spec.order
+    d = gcd(m, q - 1)
+    prime_divisors = [r for r in range(2, d + 1) if d % r == 0 and is_prime(r)]
+    for i in range(1, q):
+        h = spec.element_from_index(i) ** ((q - 1) // d)
+        if all(h ** (d // r) != one for r in prime_divisors):
+            break
+    roots = [one]
+    for _ in range(d - 1):
+        roots.append(roots[-1] * h)
+    return sorted(roots, key=spec.index_of)
 
 
 def extension_for_roots(p: int, m: int) -> int:

@@ -5,6 +5,12 @@ evaluation, centralizer bases and minimal polynomials.  Everything is
 immutable and pure; rank over the rationals uses fraction-free (Bareiss)
 elimination on cleared denominators, finite fields use plain Gaussian
 elimination with deterministic first-nonzero pivoting.
+
+Storage is dense, but products and elimination skip zero entries: a
+product multiplies each nonzero of the left factor only by the nonzeros
+of one row of the right factor, and elimination updates only the nonzero
+columns of the pivot row.  Arithmetic is exact, so every skipped term is
+a literal ``+ 0`` and results do not depend on the skipping.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import json
 from fractions import Fraction
 from math import lcm
 
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import DimensionMismatch, FieldMismatch, MalformedMatrix
 from .field import FieldSpec, Poly, Scalar, parse_field
 
 
@@ -29,7 +35,7 @@ class ExactMatrix:
             if len(r) != n:
                 raise DimensionMismatch("matrix must be square")
             for x in r:
-                if x.spec != spec:
+                if x.spec is not spec and x.spec != spec:
                     raise FieldMismatch("entry from a different field")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "n", n)
@@ -122,22 +128,20 @@ class ExactMatrix:
         return ExactMatrix(self.spec, [[-a for a in r] for r in self.rows])
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Row times matrix: row i of the product is the sum of a_ik times
+        row k of other, over the nonzero a_ik and row k's nonzeros."""
         self._check(other)
-        n = self.n
-        cols = [tuple(other.rows[k][j] for k in range(n)) for j in range(n)]
+        zero = self.spec.zero()
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero]
+                       for row in other.rows]
         out = []
-        for i in range(n):
-            row_i = self.rows[i]
-            out_row = []
-            for j in range(n):
-                col_j = cols[j]
-                acc = self.spec.zero()
-                for k in range(n):
-                    a = row_i[k]
-                    if not a.is_zero:
-                        acc = acc + a * col_j[k]
-                out_row.append(acc)
-            out.append(out_row)
+        for row_i in self.rows:
+            acc = [zero] * self.n
+            for a, sparse_k in zip(row_i, sparse_rows):
+                if sparse_k and not a.is_zero:
+                    for j, b in sparse_k:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
         return ExactMatrix(self.spec, out)
 
     def scale(self, c: Scalar) -> "ExactMatrix":
@@ -174,22 +178,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.spec}, n={self.n})"
-
-
-def matrix_algebra(x: ExactMatrix, y: ExactMatrix | None, op: str,
-                   c: Scalar | None = None, e: int | None = None) -> ExactMatrix:
-    """Named-operation front end over the operator methods."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "commutator":
-        return x.commutator(y)
-    if op == "scale":
-        return x.scale(c)
-    if op == "power":
-        return x.power(e)
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +261,14 @@ def _rank_generic(rows: list[list[Scalar]], spec: FieldSpec) -> int:
             m[rank], m[piv] = m[piv], m[rank]
         inv = m[rank][col].inverse()
         prow = m[rank]
-        for cc in range(col, ncols):
+        support = [cc for cc in range(col, ncols) if not prow[cc].is_zero]
+        for cc in support:
             prow[cc] = prow[cc] * inv
         for r in range(rank + 1, nrows):
             f = m[r][col]
             if not f.is_zero:
                 row = m[r]
-                for cc in range(col, ncols):
+                for cc in support:
                     row[cc] = row[cc] - f * prow[cc]
         rank += 1
         if rank == nrows:
@@ -330,12 +319,16 @@ def rref(rows: list[list[Scalar]], spec: FieldSpec):
         if piv != rank_:
             m[rank_], m[piv] = m[piv], m[rank_]
         inv = m[rank_][col].inverse()
-        m[rank_] = [a * inv for a in m[rank_]]
         prow = m[rank_]
+        support = [cc for cc in range(col, ncols) if not prow[cc].is_zero]
+        for cc in support:
+            prow[cc] = prow[cc] * inv
         for r in range(nrows):
-            if r != rank_ and not m[r][col].is_zero:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], prow)]
+            f = m[r][col]
+            if r != rank_ and not f.is_zero:
+                row = m[r]
+                for cc in support:
+                    row[cc] = row[cc] - f * prow[cc]
         pivots.append(col)
         rank_ += 1
         if rank_ == nrows:
@@ -438,25 +431,32 @@ def matrix_to_json(x: ExactMatrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> ExactMatrix:
+    """Inverse of matrix_to_json; raises MalformedMatrix on any defect."""
     try:
         spec = parse_field(obj["field"])
-        n = int(obj["n"])
+        n = obj["n"]
         rows = obj["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedMatrix(f"malformed matrix object: {exc}") from exc
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
+        raise MalformedMatrix(f"n must be a non-negative integer, found {n!r}")
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise MalformedMatrix("rows must be a list of lists")
     if len(rows) != n:
-        raise ValueError(f"expected {n} rows, found {len(rows)}")
+        raise MalformedMatrix(f"expected {n} rows, found {len(rows)}")
     parsed = []
     for i, row in enumerate(rows):
         if len(row) != n:
-            raise ValueError(
+            raise MalformedMatrix(
                 f"row {i + 1}: expected {n} entries, found {len(row)}")
         out_row = []
         for j, cell in enumerate(row):
             try:
+                if not isinstance(cell, str):
+                    raise ValueError(f"expected a string, found {cell!r}")
                 out_row.append(spec.parse_scalar(cell))
             except ValueError as exc:
-                raise ValueError(
+                raise MalformedMatrix(
                     f"row {i + 1}, column {j + 1}: {exc}") from exc
         parsed.append(out_row)
     return ExactMatrix(spec, parsed)
@@ -464,7 +464,11 @@ def matrix_from_json(obj: dict) -> ExactMatrix:
 
 def load_matrix(path: str) -> ExactMatrix:
     with open(path, encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:       # JSONDecodeError, UnicodeDecodeError
+            raise MalformedMatrix(f"{path}: not a JSON file: {exc}") from exc
+    return matrix_from_json(obj)
 
 
 def dump_matrix(x: ExactMatrix, path: str) -> None:

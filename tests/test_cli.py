@@ -163,6 +163,40 @@ def test_cross_validate_bad_degrees_are_usage_errors(capsys, degrees):
     assert last.startswith("nilclose cross-validate: error: argument --degrees")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"field": "Q", "n": 2, "rows": [["0", "1"], ["0"]]}',
+     "row 2: expected 2 entries, found 1"),
+    ("[[0, 1], [0, 0]", "not a JSON file"),
+], ids=["short-row", "not-json"])
+@pytest.mark.parametrize("command", [
+    ["partition"], ["member", "--q", "2"], ["decompose"]], ids=lambda c: c[0])
+def test_bad_matrix_files_are_domain_errors(capsys, tmp_path, command, text,
+                                            message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command[0], "--input", str(path),
+                         *command[1:])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("MalformedMatrix: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["criterion", "--char", "2", "--q", "-"],
+    ["enumerate", "--char", "2"],
+    ["witness", "--char", "2", "--q", "-"],
+    ["verify", "--field", "GF(2)", "--q", "-"],
+    ["cross-validate", "--char", "2"],
+], ids=lambda argv: argv[0])
+def test_negative_dimension_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--n", "-3"] + argv[1:])
+    assert exc.value.code == 64
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == (f"nilclose {argv[0]}: error: argument --n: "
+                    "must be non-negative, got -3")
+
+
 def test_domain_error_exit(capsys):
     code, _, err = run(capsys, "criterion", "--n", "4", "--char", "6",
                        "--q", "2")

@@ -14,7 +14,7 @@ from nilclose.criterion import (
     member_mq,
     member_ms,
 )
-from nilclose.errors import BoundExceeded, InvalidQ, NonPrimeChar
+from nilclose.errors import BoundExceeded, InvalidQ, NonPrimeChar, OutOfRange
 from nilclose.field import galois, rationals
 from nilclose.jordan import Partition, jordan_matrix
 from nilclose.matrices import ExactMatrix
@@ -75,6 +75,13 @@ def test_check_criterion_errors():
         check_criterion(4, 6, qs([2], 4))
     with pytest.raises(InvalidQ):
         check_criterion(4, 0, qs([2], 5))
+
+
+def test_check_criterion_refuses_negative_dimension():
+    for char in (0, 2):
+        with pytest.raises(OutOfRange):
+            check_criterion(-3, char, qs([], -3))
+    assert check_criterion(0, 2, qs([], 0)).accepted
 
 
 def test_existential_anchor():

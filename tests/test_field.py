@@ -3,6 +3,7 @@ geometric sums and the text encodings."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,9 +17,9 @@ from nilclose.field import (
     Poly,
     default_modulus,
     extension_for_roots,
-    field_arithmetic,
     galois,
     geometric_sum,
+    is_prime,
     parse_field,
     rationals,
     roots_of_unity,
@@ -34,24 +35,25 @@ GF9 = galois(3, 2)
 def test_basic_arithmetic_examples():
     half = Q.scalar(Fraction(1, 2))
     third = Q.scalar(Fraction(1, 3))
-    assert field_arithmetic(half, third, "add") == Q.scalar(Fraction(5, 6))
-    assert field_arithmetic(GF7.from_int(3), GF7.from_int(5), "mul") \
-        == GF7.one()
+    assert half + third == Q.scalar(Fraction(5, 6))
+    assert half - third == Q.scalar(Fraction(1, 6))
+    assert GF7.from_int(3) * GF7.from_int(5) == GF7.one()
     x = GF4.element_from_index(2)          # the generator x
-    xx = field_arithmetic(x, x, "mul")
-    assert xx == x + GF4.one()             # x * x = x + 1 mod x^2 + x + 1
+    assert x * x == x + GF4.one()          # x * x = x + 1 mod x^2 + x + 1
 
 
 def test_division_and_errors():
     a = Q.from_int(3)
-    assert field_arithmetic(a, Q.from_int(2), "div") == Q.scalar(Fraction(3, 2))
+    assert a / Q.from_int(2) == Q.scalar(Fraction(3, 2))
     with pytest.raises(DivisionByZero):
-        field_arithmetic(a, Q.zero(), "div")
+        a / Q.zero()
     with pytest.raises(ZeroDivisionError):
         # DivisionByZero doubles as the builtin for interoperability
-        field_arithmetic(a, Q.zero(), "div")
+        a / Q.zero()
+    with pytest.raises(DivisionByZero):
+        GF4.zero().inverse()
     with pytest.raises(FieldMismatch):
-        field_arithmetic(a, GF7.one(), "add")
+        a + GF7.one()
 
 
 def test_field_axioms_sampled():
@@ -99,6 +101,37 @@ def test_roots_group_structure():
             for b in roots:
                 assert a * b in rs
         assert m % len(roots) == 0
+
+
+def _prime_power_fields(limit):
+    for p in range(2, limit + 1):
+        if is_prime(p):
+            k = 1
+            while p ** k <= limit:
+                yield galois(p, k)
+                k += 1
+
+
+def test_roots_of_unity_match_full_scan():
+    """The subgroup construction lists exactly the elements whose m-th
+    power is one, in enumeration order; so its first non-one entry, the
+    root `witness_neighbor` takes, is the first such element of the field."""
+    for spec in _prime_power_fields(256):
+        one = spec.one()
+        for m in range(1, 14):
+            scan = [x for x in spec.elements()
+                    if not x.is_zero and x ** m == one]
+            assert roots_of_unity(spec, m) == scan, (str(spec), m)
+    # Up to q = 4096 a scan is too slow; gcd(m, q - 1) distinct m-th roots
+    # in increasing index are the whole scan, since no more exist.
+    for spec in _prime_power_fields(4096):
+        one = spec.one()
+        for m in range(2, 14):
+            roots = roots_of_unity(spec, m)
+            indices = [spec.index_of(r) for r in roots]
+            assert len(roots) == gcd(m, spec.order - 1), (str(spec), m)
+            assert indices == sorted(set(indices)), (str(spec), m)
+            assert all(r ** m == one for r in roots), (str(spec), m)
 
 
 def test_extension_for_roots():

@@ -3,10 +3,11 @@ centralizers, minimal polynomials and the JSON file format."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from nilclose.errors import DimensionMismatch, FieldMismatch
+from nilclose.errors import DimensionMismatch, FieldMismatch, MalformedMatrix
 from nilclose.field import Poly, galois, rationals
 from nilclose.matrices import (
     ExactMatrix,
@@ -14,12 +15,13 @@ from nilclose.matrices import (
     defect,
     dump_matrix,
     load_matrix,
-    matrix_algebra,
     matrix_from_json,
     matrix_to_json,
     minimal_polynomial,
+    nullspace,
     poly_eval,
     rank,
+    rref,
 )
 
 Q = rationals()
@@ -55,14 +57,14 @@ def test_algebra_examples():
     assert kron(n, i).commutator(kron(i, n)).is_zero
 
 
-def test_matrix_algebra_dispatch():
+def test_matrix_operator_examples():
     x = jcell(Q, 3)
-    assert matrix_algebra(x, x, "add") == x + x
-    assert matrix_algebra(x, x, "mul") == x * x
-    assert matrix_algebra(x, x, "commutator").is_zero
-    assert matrix_algebra(x, None, "scale", c=Q.from_int(2)) == x.scale(
-        Q.from_int(2))
-    assert matrix_algebra(x, None, "power", e=0) == ExactMatrix.identity(Q, 3)
+    two_x = ExactMatrix.from_ints(Q, [[0, 2, 0], [0, 0, 2], [0, 0, 0]])
+    assert x + x == two_x
+    assert x * x == ExactMatrix.from_ints(Q, [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    assert x.commutator(x).is_zero
+    assert x.scale(Q.from_int(2)) == two_x
+    assert x.power(0) == ExactMatrix.identity(Q, 3)
 
 
 def test_dimension_and_field_mismatch():
@@ -80,7 +82,6 @@ def test_rank_examples():
 
 
 def test_rank_rational_entries():
-    from fractions import Fraction
     rows = [[Q.scalar(Fraction(1, 2)), Q.scalar(Fraction(1, 3))],
             [Q.scalar(Fraction(1, 4)), Q.scalar(Fraction(1, 6))]]
     assert rank(ExactMatrix(Q, rows)) == 1
@@ -110,6 +111,101 @@ def test_rank_product_inequality():
             GF7, [[rng.randrange(7) for _ in range(n)] for _ in range(n)])
         assert rank(x * y) <= min(rank(x), rank(y))
         assert rank(x) + defect(x) == n
+
+
+def _dense_product(x, y):
+    """Schoolbook triple loop that multiplies every pair of entries."""
+    spec, n = x.spec, x.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = spec.zero()
+            for k in range(n):
+                acc = acc + x.rows[i][k] * y.rows[k][j]
+            row.append(acc)
+        out.append(row)
+    return ExactMatrix(spec, out)
+
+
+def _dense_rref(rows):
+    """Gauss-Jordan elimination that updates every entry of every row."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if not m[i][col].is_zero),
+                   None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][col].inverse()
+        m[r] = [a * inv for a in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
+def _dense_nullspace(rows, spec, ncols):
+    reduced, pivots = _dense_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [spec.zero()] * ncols
+        vec[fc] = spec.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def _sparse_rows(spec, nrows, ncols, density, rng):
+    """Random rows with the given share of nonzero entries, plus (half
+    the time) one all-zero row and one all-zero column."""
+    def entry():
+        if rng.random() >= density:
+            return spec.zero()
+        if spec.is_finite:
+            return spec.element_from_index(rng.randrange(1, spec.order))
+        return spec.scalar(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                    rng.randint(1, 5)))
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = [spec.zero()] * ncols
+        zero_col = rng.randrange(ncols)
+        for row in rows:
+            row[zero_col] = spec.zero()
+    return rows
+
+
+@pytest.mark.parametrize("spec", [Q, galois(2), GF7, GF4, galois(2, 3)],
+                         ids=str)
+def test_zero_skipping_kernels_match_dense_reference(spec):
+    """Products, ranks and kernels skip zero entries; a dense triple loop
+    and a dense Gauss-Jordan elimination must give the same results."""
+    rng = random.Random(2024)
+    for tenths in range(1, 11):
+        density = tenths / 10
+        for _ in range(6):
+            n = rng.randint(1, 8)
+            x = ExactMatrix(spec, _sparse_rows(spec, n, n, density, rng))
+            y = ExactMatrix(spec, _sparse_rows(spec, n, n, density, rng))
+            assert x * y == _dense_product(x, y)
+            assert rank(x) == len(_dense_rref(x.rows)[1])
+            nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+            rows = _sparse_rows(spec, nrows, ncols, density, rng)
+            assert rref(rows, spec) == _dense_rref(rows)
+            kernel = nullspace(rows, spec, ncols)
+            assert kernel == _dense_nullspace(rows, spec, ncols)
+            for vec in kernel:
+                for row in rows:
+                    dot = spec.zero()
+                    for a, v in zip(row, vec):
+                        dot = dot + a * v
+                    assert dot.is_zero
 
 
 def test_poly_eval():
@@ -200,6 +296,27 @@ def test_json_rejects_ragged_rows():
     with pytest.raises(ValueError) as exc:
         matrix_from_json(data)
     assert "row" in str(exc.value)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([["0"]], "malformed matrix object"),
+    ({"field": 7, "n": 1, "rows": [["0"]]}, "malformed matrix object"),
+    ({"field": "Q", "n": 2, "rows": "0 1 0 0"}, "list of lists"),
+    ({"field": "Q", "n": 2, "rows": [0, 1]}, "list of lists"),
+    ({"field": "Q", "n": 1, "rows": [[1]]}, "expected a string, found 1"),
+    ({"field": "Q", "n": 2.9, "rows": [["0", "0"], ["0", "0"]]},
+     "n must be a non-negative integer"),
+    ({"field": "Q", "n": True, "rows": [["0"]]},
+     "n must be a non-negative integer"),
+    ({"field": "Q", "n": "1", "rows": [["0"]]},
+     "n must be a non-negative integer"),
+    ({"field": "Q", "n": -1, "rows": []}, "n must be a non-negative integer"),
+], ids=["not-an-object", "field-not-text", "rows-text", "rows-of-ints",
+        "cell-not-text", "n-float", "n-bool", "n-text", "n-negative"])
+def test_json_rejects_malformed_structure(data, message):
+    with pytest.raises(MalformedMatrix) as exc:
+        matrix_from_json(data)
+    assert message in str(exc.value)
 
 
 def test_json_rejects_bad_scalar():

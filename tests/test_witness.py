@@ -1,5 +1,9 @@
 """Counterexample constructions and the falsification decision tree."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from nilclose.criterion import QSet, check_criterion, all_qsets
@@ -176,6 +180,31 @@ def test_witness_serialization():
     assert data["violating_size"] == 4
     assert "note" in data
     assert data["x"]["n"] == 6 and data["y"]["n"] == 6
+
+
+GOLDEN_N26 = json.loads(
+    (Path(__file__).parent / "data" / "witness_n26_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_N26,
+    ids=lambda c: f"char{c['char']}-{c['construction']}-{c['field']}")
+def test_witness_golden_n26(case):
+    """Witness JSON at n = 26 is byte-identical to the dense kernels'.
+
+    Each digest is the SHA-256 of the UTF-8 text
+    ``json.dumps(falsify(26, char, QSet(q, 26)).to_json(), indent=2,
+    sort_keys=True)``, which is what ``nilclose witness --json`` prints
+    before its final newline.  The digests were captured by evaluating
+    that expression on the commit before products and elimination began
+    to skip zero entries, with no source file changed, so they pin the
+    output of the dense triple-loop product and full-row elimination.
+    """
+    w = falsify(26, case["char"], qs(case["q"], 26))
+    assert w.construction == case["construction"]
+    assert str(w.field) == case["field"]
+    text = json.dumps(w.to_json(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == case["sha256"]
 
 
 def test_witness_determinism():
