@@ -68,15 +68,22 @@ def _degree_list(text: str) -> list[int]:
     return degrees
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _int_at_least(least: int, words: str):
+    """argparse type: an int >= least, else "must be <words>, got ..."."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from exc
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {words}, got {value}")
+        return value
+    return parse
+
+
+_nonnegative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "positive")
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +284,7 @@ def build_parser() -> _Parser:
                    help="field text, e.g. GF(5) or GF(2^2)")
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
-    p.add_argument("--budget", type=int, default=5_000_000,
+    p.add_argument("--budget", type=_positive_int, default=5_000_000,
                    help="span-size budget for exhaustive mode")
     p.add_argument("--samples", type=_nonnegative_int, default=200,
                    help="random pairs in sampled mode")
@@ -297,7 +304,7 @@ def build_parser() -> _Parser:
                    help="comma-separated extension degrees (default 1)")
     p.add_argument("--q", default=None,
                    help="semicolon-separated q-sets (default: all subsets)")
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=_positive_int, default=5_000_000)
     p.set_defaults(handler=_cmd_cross_validate)
 
     return parser

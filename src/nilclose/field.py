@@ -1,19 +1,24 @@
 """Exact field arithmetic over Q and GF(p^k).
 
-Scalars are immutable: rationals are reduced fractions, finite-field
-elements are coefficient vectors reduced modulo p and modulo the
-irreducible modulus of the extension.  The module also provides the
-roots-of-unity search, the extension-degree computation needed to realize
-those roots, and the geometric sums that control the block constructions
-in the witness module.
+Every field has one ops object that holds all of its arithmetic, on raw
+values: reduced ``Fraction``s over Q, residues ``0 <= a < p`` over GF(p),
+and coefficient tuples reduced modulo p and the irreducible modulus over
+GF(p^k).  ``Scalar`` is a thin immutable facade that pairs a raw value
+with its field and delegates every operation to the ops object; the
+matrix kernels call the ops object directly and box each result once.
+The module also provides the roots-of-unity search, the extension-degree
+computation needed to realize those roots, and the geometric sums that
+control the block constructions in the witness module.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import count, zip_longest
+from math import gcd, isqrt
 
 from .errors import (
     DivisionByZero,
@@ -24,18 +29,7 @@ from .errors import (
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +41,6 @@ def _gfp_trim(c):
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return tuple(c[:i])
-
-
-def _gfp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _gfp_trim(out)
 
 
 def _gfp_divmod(a, b, p):
@@ -76,38 +59,147 @@ def _gfp_divmod(a, b, p):
     return _gfp_trim(quo), _gfp_trim(a)
 
 
+def _digits(v: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of v, lowest first."""
+    return [v // p ** i % p for i in range(k)]
+
+
 def _gfp_irreducible(f, p) -> bool:
     """Trial division by every monic polynomial of degree <= deg(f)/2."""
     deg = len(f) - 1
     if deg < 1:
         return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for v in range(p ** d):
-            digits, x = [], v
-            for _ in range(d):
-                digits.append(x % p)
-                x //= p
-            cand = tuple(digits) + (1,)
-            _, rem = _gfp_divmod(f, cand, p)
-            if not rem:
-                return False
-    return True
+    return all(_gfp_divmod(f, tuple(_digits(v, p, d)) + (1,), p)[1]
+               for d in range(1, deg // 2 + 1) for v in range(p ** d))
 
 
 @lru_cache(maxsize=None)
 def default_modulus(p: int, k: int):
     """Lexicographically least monic irreducible of degree k over GF(p)."""
     for v in range(p ** k):
-        digits, x = [], v
-        for _ in range(k):
-            digits.append(x % p)
-            x //= p
-        cand = tuple(digits) + (1,)
+        cand = tuple(_digits(v, p, k)) + (1,)
         if _gfp_irreducible(cand, p):
             return cand
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
+
+
+# ---------------------------------------------------------------------------
+# raw arithmetic, one ops object per field
+# ---------------------------------------------------------------------------
+
+class _RationalOps:
+    """Arithmetic of Q on reduced Fractions."""
+
+    zero, one = Fraction(0), Fraction(1)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    is_zero = staticmethod(operator.not_)
+    inv = staticmethod(lambda a: 1 / a)
+    submul = staticmethod(lambda a, f, b: a - f * b)   # the elimination step
+
+
+class _PrimeOps:
+    """Arithmetic of GF(p) on residues 0 <= a < p."""
+
+    zero, one = 0, 1
+    is_zero = staticmethod(operator.not_)
+
+    def __init__(self, p: int):
+        self.p = p
+        self.add = lambda a, b: (a + b) % p
+        self.sub = lambda a, b: (a - b) % p
+        self.neg = lambda a: -a % p
+        self.mul = lambda a, b: a * b % p
+        self.inv = lambda a: pow(a, p - 2, p)
+        self.submul = lambda a, f, b: (a - f * b) % p
+
+    def from_coeffs(self, coeffs):
+        return coeffs[0] % self.p if coeffs else 0
+
+    @staticmethod
+    def coeffs(a):
+        return (a,)
+
+
+class _ExtensionOps:
+    """Arithmetic of GF(p^k) on coefficient tuples of length k, lowest
+    degree first, reduced modulo p and the monic irreducible modulus."""
+
+    def __init__(self, p: int, modulus):
+        self.p, self.k, self.modulus = p, len(modulus) - 1, modulus
+        self.zero = (0,) * self.k
+        self.one = (1,) + (0,) * (self.k - 1)
+        # x^k = -(lower terms of the modulus); only its nonzero terms fold
+        self._tail = [(j, c) for j, c in enumerate(modulus[:-1]) if c]
+
+    def add(self, a, b):
+        p = self.p
+        return tuple([(x + y) % p for x, y in zip(a, b)])
+
+    def sub(self, a, b):
+        p = self.p
+        return tuple([(x - y) % p for x, y in zip(a, b)])
+
+    def neg(self, a):
+        p = self.p
+        return tuple([-x % p for x in a])
+
+    def mul(self, a, b):
+        return self.fold(self._convolve([0] * (2 * self.k - 1), a, b, 1))
+
+    def submul(self, a, f, b):
+        return self.fold(self._convolve(list(a) + [0] * (self.k - 1),
+                                        f, b, -1))
+
+    @staticmethod
+    def _convolve(acc, a, b, sign):
+        """acc + sign * (a times b as polynomials), unreduced."""
+        for i, x in enumerate(a):
+            if x:
+                x *= sign
+                for j, y in enumerate(b):
+                    acc[i + j] += x * y
+        return acc
+
+    def fold(self, prod):
+        """The field element of an unreduced product: a list of 2k - 1
+        integer coefficients, reduced once modulo p and the modulus."""
+        p, k, tail = self.p, self.k, self._tail
+        for i in range(len(prod) - 1, k - 1, -1):
+            t = prod[i] % p
+            if t:
+                for j, c in tail:
+                    prod[i - k + j] -= t * c
+        return tuple([c % p for c in prod[:k]])
+
+    @staticmethod
+    def is_zero(a):
+        return not any(a)
+
+    def inv(self, a):
+        """Extended Euclid over GF(p)[x] against the modulus."""
+        p = self.p
+        r0, r1 = self.modulus, _gfp_trim(a)
+        s0, s1 = (), (1,)
+        while r1:
+            q, r = _gfp_divmod(r0, r1, p)
+            r0, r1 = r1, r
+            acc = list(s0) + [0] * (len(q) + len(s1) - 1 - len(s0))
+            s0, s1 = s1, _gfp_trim([c % p for c in
+                                    self._convolve(acc, q, s1, -1)])
+        # r0 is a nonzero constant gcd
+        c_inv = pow(r0[0], p - 2, p)
+        return self.from_coeffs([c * c_inv for c in s0])
+
+    def from_coeffs(self, coeffs):
+        p = self.p
+        return tuple(c % p for c in coeffs) + (0,) * (self.k - len(coeffs))
+
+    @staticmethod
+    def coeffs(a):
+        return a
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +211,11 @@ class FieldSpec:
 
     ``char`` is 0 for the rationals, else a prime p.  ``modulus`` is the
     monic irreducible defining the extension, as an int tuple (lowest
-    degree first); it is None when the degree is 1.
+    degree first); it is None when the degree is 1.  ``ops`` holds the
+    field's arithmetic on raw values.
     """
 
-    __slots__ = ("char", "degree", "modulus")
+    __slots__ = ("char", "degree", "modulus", "ops", "_zero", "_one")
 
     def __init__(self, char: int, degree: int = 1, modulus=None):
         if char == 0:
@@ -145,9 +238,13 @@ class FieldSpec:
                         raise ValueError("modulus must be monic of the stated degree")
                     if not _gfp_irreducible(modulus, char):
                         raise ValueError("modulus is reducible")
-        object.__setattr__(self, "char", char)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "modulus", modulus)
+        ops = (_RationalOps() if char == 0 else _PrimeOps(char) if degree == 1
+               else _ExtensionOps(char, modulus))
+        for name, value in (("char", char), ("degree", degree),
+                            ("modulus", modulus), ("ops", ops),
+                            ("_zero", Scalar(self, ops.zero)),
+                            ("_one", Scalar(self, ops.one))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
@@ -185,17 +282,17 @@ class FieldSpec:
         return self.char ** self.degree
 
     def zero(self) -> "Scalar":
-        return self.from_int(0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.from_int(1)
+        return self._one
+
+    def box(self, raw) -> "Scalar":
+        """The Scalar of a raw value; zero is the field's single zero."""
+        return self._zero if self.ops.is_zero(raw) else Scalar(self, raw)
 
     def from_int(self, value: int) -> "Scalar":
-        if self.char == 0:
-            return Scalar(self, Fraction(value))
-        vec = [0] * self.degree
-        vec[0] = value % self.char
-        return Scalar(self, tuple(vec))
+        return self.scalar((value,) if self.char else Fraction(value))
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction or coefficient sequence into the field."""
@@ -203,15 +300,12 @@ class FieldSpec:
             if value.spec != self:
                 raise FieldMismatch(f"scalar from {value.spec} used in {self}")
             return value
-        if isinstance(value, int):
-            return self.from_int(value)
         if self.char == 0:
             return Scalar(self, Fraction(value))
-        vec = [v % self.char for v in value]
-        if len(vec) > self.degree:
+        coeffs = (value,) if isinstance(value, int) else tuple(value)
+        if len(coeffs) > self.degree:
             raise ValueError("coefficient vector longer than extension degree")
-        vec += [0] * (self.degree - len(vec))
-        return Scalar(self, tuple(vec))
+        return Scalar(self, self.ops.from_coeffs(coeffs))
 
     def element_from_index(self, index: int) -> "Scalar":
         """The index-th field element in the fixed enumeration order."""
@@ -221,18 +315,14 @@ class FieldSpec:
                 return self.zero()
             half, sign = divmod(index + 1, 2)
             return self.from_int(half if sign == 0 else -half)
-        p = self.char
-        vec, x = [], index % self.order
-        for _ in range(self.degree):
-            vec.append(x % p)
-            x //= p
-        return Scalar(self, tuple(vec))
+        return Scalar(self, self.ops.from_coeffs(
+            _digits(index % self.order, self.char, self.degree)))
 
     def index_of(self, x: "Scalar") -> int:
         if self.char == 0:
             raise ValueError("no finite enumeration of the rationals")
         idx = 0
-        for c in reversed(x.val):
+        for c in reversed(self.ops.coeffs(x.val)):
             idx = idx * self.char + c
         return idx
 
@@ -242,17 +332,90 @@ class FieldSpec:
         Finite fields yield all elements; the rationals yield the infinite
         sequence 0, 1, -1, 2, -2, ...
         """
-        if self.char == 0:
-            i = 0
-            while True:
-                yield self.element_from_index(i)
-                i += 1
-        else:
-            for i in range(self.order):
-                yield self.element_from_index(i)
+        return map(self.element_from_index,
+                   count() if self.char == 0 else range(self.order))
 
     def parse_scalar(self, text: str) -> "Scalar":
         return _parse_scalar(self, text)
+
+
+# ---------------------------------------------------------------------------
+# scalars
+# ---------------------------------------------------------------------------
+
+class Scalar:
+    """Immutable field element: a raw value of its field (see the module
+    docstring) with every operation delegated to ``spec.ops``."""
+
+    __slots__ = ("spec", "val")
+
+    def __init__(self, spec: FieldSpec, val):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "val", val)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
+
+    def _check(self, other: "Scalar"):
+        if self.spec is not other.spec and self.spec != other.spec:
+            raise FieldMismatch(f"operands from {self.spec} and {other.spec}")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.spec.ops.is_zero(self.val)
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __eq__(self, other):
+        return (isinstance(other, Scalar)
+                and (self.spec is other.spec or self.spec == other.spec)
+                and self.val == other.val)
+
+    def __hash__(self):
+        return hash((self.spec, self.val))
+
+    def __add__(self, other):
+        self._check(other)
+        return Scalar(self.spec, self.spec.ops.add(self.val, other.val))
+
+    def __sub__(self, other):
+        self._check(other)
+        return Scalar(self.spec, self.spec.ops.sub(self.val, other.val))
+
+    def __neg__(self):
+        return Scalar(self.spec, self.spec.ops.neg(self.val))
+
+    def __mul__(self, other):
+        self._check(other)
+        return Scalar(self.spec, self.spec.ops.mul(self.val, other.val))
+
+    def inverse(self) -> "Scalar":
+        if self.is_zero:
+            raise DivisionByZero(f"inverse of zero in {self.spec}")
+        return Scalar(self.spec, self.spec.ops.inv(self.val))
+
+    def __truediv__(self, other):
+        self._check(other)
+        return self * other.inverse()
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        result, base = self.spec.one(), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base, exponent = base * base, exponent >> 1
+        return result
+
+    def __str__(self):
+        if self.spec.char == 0:
+            return str(self.val)
+        return _format_int_poly(self.spec.ops.coeffs(self.val))
+
+    def __repr__(self):
+        return f"Scalar({self.spec}, {self})"
 
 
 _RATIONALS = FieldSpec(0)
@@ -271,139 +434,6 @@ def galois(p: int, k: int = 1, modulus=None) -> FieldSpec:
     if modulus is None:
         return _galois_cached(p, k)
     return FieldSpec(p, k, modulus)
-
-
-# ---------------------------------------------------------------------------
-# scalars
-# ---------------------------------------------------------------------------
-
-class Scalar:
-    """Immutable field element: a Fraction over Q, a coefficient tuple over GF."""
-
-    __slots__ = ("spec", "val")
-
-    def __init__(self, spec: FieldSpec, val):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "val", val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def _check(self, other: "Scalar"):
-        if self.spec is not other.spec and self.spec != other.spec:
-            raise FieldMismatch(f"operands from {self.spec} and {other.spec}")
-
-    @property
-    def is_zero(self) -> bool:
-        if self.spec.char == 0:
-            return self.val == 0
-        return not any(self.val)
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __eq__(self, other):
-        return (isinstance(other, Scalar) and self.spec == other.spec
-                and self.val == other.val)
-
-    def __hash__(self):
-        return hash((self.spec, self.val))
-
-    def __add__(self, other):
-        self._check(other)
-        if self.spec.char == 0:
-            return Scalar(self.spec, self.val + other.val)
-        p = self.spec.char
-        return Scalar(self.spec,
-                      tuple((a + b) % p for a, b in zip(self.val, other.val)))
-
-    def __sub__(self, other):
-        self._check(other)
-        if self.spec.char == 0:
-            return Scalar(self.spec, self.val - other.val)
-        p = self.spec.char
-        return Scalar(self.spec,
-                      tuple((a - b) % p for a, b in zip(self.val, other.val)))
-
-    def __neg__(self):
-        if self.spec.char == 0:
-            return Scalar(self.spec, -self.val)
-        p = self.spec.char
-        return Scalar(self.spec, tuple((-a) % p for a in self.val))
-
-    def __mul__(self, other):
-        self._check(other)
-        spec = self.spec
-        if spec.char == 0:
-            return Scalar(spec, self.val * other.val)
-        p, k = spec.char, spec.degree
-        if k == 1:
-            return Scalar(spec, ((self.val[0] * other.val[0]) % p,))
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(self.val):
-            if a:
-                for j, b in enumerate(other.val):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        mod = spec.modulus
-        for i in range(len(prod) - 1, k - 1, -1):
-            t = prod[i]
-            if t:
-                for j in range(k):
-                    prod[i - k + j] = (prod[i - k + j] - t * mod[j]) % p
-        return Scalar(spec, tuple(prod[:k]))
-
-    def inverse(self) -> "Scalar":
-        spec = self.spec
-        if self.is_zero:
-            raise DivisionByZero(f"inverse of zero in {spec}")
-        if spec.char == 0:
-            return Scalar(spec, 1 / self.val)
-        p, k = spec.char, spec.degree
-        if k == 1:
-            return Scalar(spec, (pow(self.val[0], p - 2, p),))
-        # extended Euclid over GF(p)[x] against the modulus
-        r0, r1 = spec.modulus, _gfp_trim(self.val)
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _gfp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _gfp_sub(s0, _gfp_mul(q, s1, p), p)
-        # r0 is a nonzero constant gcd
-        c_inv = pow(r0[0], p - 2, p)
-        inv = tuple((c * c_inv) % p for c in s0)
-        return spec.scalar(inv)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.spec.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __str__(self):
-        if self.spec.char == 0:
-            return str(self.val)
-        return _format_int_poly(self.val)
-
-    def __repr__(self):
-        return f"Scalar({self.spec}, {self})"
-
-
-def _gfp_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return _gfp_trim(tuple((x - y) % p for x, y in zip(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +466,8 @@ def _parse_int_poly(text: str):
         coef_s, pow_s = m.groups()
         if coef_s is None and "x" not in term:
             raise ValueError(f"unparsable term {term!r}")
-        coef = int(coef_s) if coef_s is not None else 1
-        if "x" in term:
-            power = int(pow_s) if pow_s is not None else 1
-        else:
-            power = 0
-        coeffs[power] = coeffs.get(power, 0) + coef
+        power = (int(pow_s) if pow_s else 1) if "x" in term else 0
+        coeffs[power] = coeffs.get(power, 0) + (int(coef_s) if coef_s else 1)
     out = [0] * (max(coeffs) + 1 if coeffs else 0)
     for power, coef in coeffs.items():
         out[power] = coef
@@ -515,11 +541,6 @@ class Poly:
     def one(cls, spec: FieldSpec) -> "Poly":
         return cls(spec, (spec.one(),))
 
-    @classmethod
-    def identity_t(cls, spec: FieldSpec) -> "Poly":
-        """The polynomial t."""
-        return cls(spec, (spec.zero(), spec.one()))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -533,10 +554,7 @@ class Poly:
         """Index of the lowest nonzero coefficient."""
         if self.is_zero:
             raise ZeroPolynomial("valuation of the zero polynomial")
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return i
-        raise AssertionError("trimmed polynomial with no nonzero coefficient")
+        return next(i for i, c in enumerate(self.coeffs) if not c.is_zero)
 
     def _check(self, other: "Poly"):
         if self.spec != other.spec:
@@ -551,19 +569,13 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        zero = self.spec.zero()
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (zero,) * (n - len(self.coeffs))
-        b = other.coeffs + (zero,) * (n - len(other.coeffs))
-        return Poly(self.spec, [x + y for x, y in zip(a, b)])
+        return Poly(self.spec, [x + y for x, y in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=self.spec.zero())])
 
     def __sub__(self, other):
         self._check(other)
-        zero = self.spec.zero()
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (zero,) * (n - len(self.coeffs))
-        b = other.coeffs + (zero,) * (n - len(other.coeffs))
-        return Poly(self.spec, [x - y for x, y in zip(a, b)])
+        return Poly(self.spec, [x - y for x, y in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=self.spec.zero())])
 
     def __neg__(self):
         return Poly(self.spec, [-c for c in self.coeffs])
@@ -617,12 +629,8 @@ class Poly:
         return self.scale(lead.inverse())
 
     def derivative(self) -> "Poly":
-        if self.degree < 1:
-            return Poly.zero(self.spec)
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(self.spec.from_int(i) * self.coeffs[i])
-        return Poly(self.spec, out)
+        return Poly(self.spec, [self.spec.from_int(i) * c
+                                for i, c in enumerate(self.coeffs) if i])
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor."""
@@ -648,14 +656,6 @@ class Poly:
             return r0, s0, t0
         lead_inv = r0.coeffs[-1].inverse()
         return r0.scale(lead_inv), s0.scale(lead_inv), t0.scale(lead_inv)
-
-    def eval_scalar(self, x: Scalar) -> Scalar:
-        if x.spec != self.spec:
-            raise FieldMismatch("evaluation point from a different field")
-        acc = self.spec.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __str__(self):
         if self.is_zero:
@@ -691,10 +691,7 @@ def roots_of_unity(spec: FieldSpec, m: int) -> list[Scalar]:
         raise ValueError("m must be positive")
     one = spec.one()
     if spec.char == 0:
-        roots = [one]
-        if m % 2 == 0:
-            roots.append(-one)
-        return roots
+        return [one, -one] if m % 2 == 0 else [one]
     q = spec.order
     d = gcd(m, q - 1)
     prime_divisors = [r for r in range(2, d + 1) if d % r == 0 and is_prime(r)]

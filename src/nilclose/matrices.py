@@ -2,21 +2,26 @@
 
 Covers the algebra operations, exact rank and kernel defect, polynomial
 evaluation, centralizer bases and minimal polynomials.  Everything is
-immutable and pure; rank over the rationals uses fraction-free (Bareiss)
-elimination on cleared denominators, finite fields use plain Gaussian
-elimination with deterministic first-nonzero pivoting.
+immutable and pure.  Entries are Scalars, but every kernel computes on
+the field's raw values (``spec.ops``) and boxes each result entry once.
 
-Storage is dense, but products and elimination skip zero entries: a
-product multiplies each nonzero of the left factor only by the nonzeros
-of one row of the right factor, and elimination updates only the nonzero
-columns of the pivot row.  Arithmetic is exact, so every skipped term is
-a literal ``+ 0`` and results do not depend on the skipping.
+A product lifts both factors to Python ints and runs one zero-skipping
+loop for every field: over Q row i of the left factor is scaled to its
+common denominator d_i and the right factor to one denominator D; over
+GF(p) an entry is its residue; over GF(p^k) its coefficients are packed
+into one int (Kronecker substitution).  Each nonzero sum is reduced once.
+Elimination is one routine, ``_echelon``, with first-nonzero pivoting:
+run forward it gives the rank over finite fields; run in full it gives
+``rref``, ``nullspace``, centralizer bases and minimal polynomials.  Rank
+over Q uses fraction-free (Bareiss) elimination on integer rows.  Zero
+entries are skipped; arithmetic is exact, so results do not depend on it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .errors import DimensionMismatch, FieldMismatch, MalformedMatrix
@@ -44,6 +49,25 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    @classmethod
+    def _of(cls, spec: FieldSpec, rows: tuple) -> "ExactMatrix":
+        """A kernel result: a square tuple of tuples of Scalars of spec,
+        taken without the checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "rows", rows)
+        return self
+
+    @classmethod
+    def _raw(cls, spec: FieldSpec, raw_rows) -> "ExactMatrix":
+        """Box a square kernel result of raw values."""
+        box = spec.box
+        return cls._of(spec, tuple(tuple(map(box, r)) for r in raw_rows))
+
+    def _raw_rows(self) -> list[list]:
+        return [[a.val for a in r] for r in self.rows]
+
     # -- constructors --------------------------------------------------------
     @classmethod
     def from_ints(cls, spec: FieldSpec, rows) -> "ExactMatrix":
@@ -62,14 +86,9 @@ class ExactMatrix:
     @classmethod
     def jordan_cell(cls, spec: FieldSpec, eigenvalue: Scalar, m: int) -> "ExactMatrix":
         """Single Jordan cell of size m with ones on the superdiagonal."""
-        z = spec.zero()
-        o = spec.one()
-        rows = [[z] * m for _ in range(m)]
-        for i in range(m):
-            rows[i][i] = eigenvalue
-            if i + 1 < m:
-                rows[i][i + 1] = o
-        return cls(spec, rows)
+        z, o = spec.zero(), spec.one()
+        return cls(spec, [[eigenvalue if j == i else o if j == i + 1 else z
+                           for j in range(m)] for i in range(m)])
 
     @classmethod
     def block_diag(cls, spec: FieldSpec, blocks, n: int | None = None) -> "ExactMatrix":
@@ -85,9 +104,8 @@ class ExactMatrix:
         for b in blocks:
             if b.spec != spec:
                 raise FieldMismatch("block over a different field")
-            for i in range(b.n):
-                for j in range(b.n):
-                    rows[off + i][off + j] = b.rows[i][j]
+            for i, row in enumerate(b.rows):
+                rows[off + i][off:off + b.n] = row
             off += b.n
         return cls(spec, rows)
 
@@ -109,45 +127,46 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(x.is_zero for r in self.rows for x in r)
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
+    def _zip(self, other, op):
+        self._check(other)
+        return ExactMatrix._raw(self.spec,
+                                [[op(a.val, b.val) for a, b in zip(ra, rb)]
+                                 for ra, rb in zip(self.rows, other.rows)])
 
     def __add__(self, other):
-        self._check(other)
-        return ExactMatrix(self.spec,
-                           [[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
+        return self._zip(other, self.spec.ops.add)
 
     def __sub__(self, other):
-        self._check(other)
-        return ExactMatrix(self.spec,
-                           [[a - b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
+        return self._zip(other, self.spec.ops.sub)
 
     def __neg__(self):
-        return ExactMatrix(self.spec, [[-a for a in r] for r in self.rows])
+        return self.scale(-self.spec.one())
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Row times matrix: row i of the product is the sum of a_ik times
-        row k of other, over the nonzero a_ik and row k's nonzeros."""
+        """Row times matrix over the integer images of both factors: row i
+        of the product sums a_ik times row k of other, over the nonzero
+        a_ik and row k's nonzeros, and each nonzero sum is boxed once."""
         self._check(other)
+        left, right, box = _integer_factors(self, other)
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if b]
+                       for row in right]
         zero = self.spec.zero()
-        sparse_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero]
-                       for row in other.rows]
         out = []
-        for row_i in self.rows:
-            acc = [zero] * self.n
+        for i, row_i in enumerate(left):
+            acc = [0] * self.n
             for a, sparse_k in zip(row_i, sparse_rows):
-                if sparse_k and not a.is_zero:
+                if a and sparse_k:
                     for j, b in sparse_k:
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
-        return ExactMatrix(self.spec, out)
+                        acc[j] += a * b
+            out.append(tuple([box(i, v) if v else zero for v in acc]))
+        return ExactMatrix._of(self.spec, tuple(out))
 
     def scale(self, c: Scalar) -> "ExactMatrix":
         if c.spec != self.spec:
             raise FieldMismatch("scalar from a different field")
-        return ExactMatrix(self.spec, [[c * a for a in r] for r in self.rows])
+        mul, cv = self.spec.ops.mul, c.val
+        return ExactMatrix._raw(self.spec,
+                                [[mul(cv, a.val) for a in r] for r in self.rows])
 
     def power(self, e: int) -> "ExactMatrix":
         if e < 0:
@@ -166,10 +185,7 @@ class ExactMatrix:
         return self * other - other * self
 
     def trace(self) -> Scalar:
-        acc = self.spec.zero()
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
+        return sum((r[i] for i, r in enumerate(self.rows)), self.spec.zero())
 
     def __str__(self):
         cells = [[str(x) for x in r] for r in self.rows]
@@ -180,23 +196,61 @@ class ExactMatrix:
         return f"ExactMatrix({self.spec}, n={self.n})"
 
 
+def _denominator(row) -> int:
+    """Least common denominator of a row of rationals."""
+    return lcm(*(a.val.denominator for a in row))
+
+
+def _numerators(row, d: int) -> list[int]:
+    """A row of rationals times its common denominator d."""
+    return [a.val.numerator * (d // a.val.denominator) for a in row]
+
+
+def _integer_factors(x: ExactMatrix, y: ExactMatrix):
+    """Integer images of the factors of x * y, and box(i, v): the Scalar
+    of a nonzero integer sum v in row i of the product."""
+    spec, n, p, k = x.spec, x.n, x.spec.char, x.spec.degree
+    if p == 0:
+        # row i of x over its common denominator d_i, all of y over D
+        dens = [_denominator(r) for r in x.rows]
+        big = lcm(*map(_denominator, y.rows))
+        return ([_numerators(r, d) for r, d in zip(x.rows, dens)],
+                [_numerators(r, big) for r in y.rows],
+                lambda i, v: Scalar(spec, Fraction(v, dens[i] * big)))
+    if k == 1:
+        return (x._raw_rows(), y._raw_rows(), lambda i, v: spec.box(v % p))
+    # GF(p^k): coefficient t in bits [t*w, (t+1)*w).  A slot of a sum of n
+    # products of packed entries is at most n*k*(p-1)^2 < 2^w, so no slot
+    # carries into the next.  Entries and sums repeat in small fields, so
+    # each distinct one is packed or reduced once per product.
+    w = (n * k * (p - 1) ** 2).bit_length() + 1
+    mask, shifts, fold = (1 << w) - 1, range(0, (2 * k - 1) * w, w), spec.ops.fold
+
+    @lru_cache(maxsize=None)
+    def pack(val):
+        return sum(c << s for c, s in zip(val, shifts))
+
+    @lru_cache(maxsize=None)
+    def unpack(v):
+        return spec.box(fold([(v >> s) & mask for s in shifts]))
+    return ([[pack(a.val) for a in r] for r in x.rows],
+            [[pack(a.val) for a in r] for r in y.rows],
+            lambda i, v: unpack(v))
+
+
 # ---------------------------------------------------------------------------
 # rank / kernel
 # ---------------------------------------------------------------------------
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free elimination over the integers."""
-    m = [r[:] for r in rows]
+    """Fraction-free elimination over the integers; consumes rows."""
+    m = rows
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
     prev = 1
     for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
             continue
         if piv != rank:
@@ -213,83 +267,46 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
     return rank
 
 
-def _rank_prime_field(rows: list[list[int]], p: int) -> int:
-    m = [r[:] for r in rows]
+def _echelon(m: list[list], ops, full: bool) -> list[int]:
+    """Row-reduce m, rows of raw field values, in place and return the
+    pivot columns.  The pivot of each column is its first nonzero entry
+    at or below the current rank; the pivot row is scaled to lead with 1
+    and its nonzero columns are subtracted from the rows below it, and
+    with ``full`` also from the rows above (reduced row echelon form)."""
+    is_zero, mul, submul = ops.is_zero, ops.mul, ops.submul
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    rank = 0
+    pivots = []
     for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
+        rank_ = len(pivots)
+        piv = next((r for r in range(rank_, nrows)
+                    if not is_zero(m[r][col])), None)
         if piv is None:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        prow = m[rank]
-        for cc in range(col, ncols):
-            prow[cc] = (prow[cc] * inv) % p
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            if f:
-                row = m[r]
-                for cc in range(col, ncols):
-                    row[cc] = (row[cc] - f * prow[cc]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_generic(rows: list[list[Scalar]], spec: FieldSpec) -> int:
-    m = [r[:] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if not m[r][col].is_zero:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inverse()
-        prow = m[rank]
-        support = [cc for cc in range(col, ncols) if not prow[cc].is_zero]
+        if piv != rank_:
+            m[rank_], m[piv] = m[piv], m[rank_]
+        prow = m[rank_]
+        inv = ops.inv(prow[col])
+        support = [cc for cc in range(col, ncols) if not is_zero(prow[cc])]
         for cc in support:
-            prow[cc] = prow[cc] * inv
-        for r in range(rank + 1, nrows):
+            prow[cc] = mul(prow[cc], inv)
+        for r in range(0 if full else rank_ + 1, nrows):
             f = m[r][col]
-            if not f.is_zero:
+            if r != rank_ and not is_zero(f):
                 row = m[r]
                 for cc in support:
-                    row[cc] = row[cc] - f * prow[cc]
-        rank += 1
-        if rank == nrows:
+                    row[cc] = submul(row[cc], f, prow[cc])
+        pivots.append(col)
+        if rank_ + 1 == nrows:
             break
-    return rank
+    return pivots
 
 
 def rank(x: ExactMatrix) -> int:
-    """Exact rank; Bareiss over Q, Gaussian elimination over finite fields."""
-    spec = x.spec
-    if x.n == 0:
-        return 0
-    if spec.char == 0:
-        int_rows = []
-        for r in x.rows:
-            den = lcm(*(a.val.denominator for a in r)) if r else 1
-            int_rows.append([int(a.val * den) for a in r])
-        return _rank_bareiss(int_rows)
-    if spec.degree == 1:
-        return _rank_prime_field([[a.val[0] for a in r] for r in x.rows], spec.char)
-    return _rank_generic([list(r) for r in x.rows], spec)
+    """Exact rank; Bareiss over Q, forward elimination over finite fields."""
+    if x.spec.char == 0:
+        return _rank_bareiss([_numerators(r, _denominator(r)) for r in x.rows])
+    return len(_echelon(x._raw_rows(), x.spec.ops, full=False))
 
 
 def defect(x: ExactMatrix) -> int:
@@ -303,54 +320,30 @@ def rref(rows: list[list[Scalar]], spec: FieldSpec):
     Returns (reduced rows, pivot column list); deterministic for a given
     input, which keeps every derived basis byte-stable.
     """
-    m = [r[:] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    rank_ = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank_, nrows):
-            if not m[r][col].is_zero:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank_:
-            m[rank_], m[piv] = m[piv], m[rank_]
-        inv = m[rank_][col].inverse()
-        prow = m[rank_]
-        support = [cc for cc in range(col, ncols) if not prow[cc].is_zero]
-        for cc in support:
-            prow[cc] = prow[cc] * inv
-        for r in range(nrows):
-            f = m[r][col]
-            if r != rank_ and not f.is_zero:
-                row = m[r]
-                for cc in support:
-                    row[cc] = row[cc] - f * prow[cc]
-        pivots.append(col)
-        rank_ += 1
-        if rank_ == nrows:
-            break
-    return m, pivots
+    m = [[a.val for a in r] for r in rows]
+    pivots = _echelon(m, spec.ops, full=True)
+    return [[spec.box(a) for a in r] for r in m], pivots
+
+
+def _kernel(m: list[list], ops, ncols: int) -> list[list]:
+    """Raw kernel basis of the system m (consumed), one vector per free
+    column, free columns in ascending order."""
+    pivots = _echelon(m, ops, full=True)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [ops.zero] * ncols
+        vec[fc] = ops.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = ops.neg(m[r][fc])
+        basis.append(vec)
+    return basis
 
 
 def nullspace(rows: list[list[Scalar]], spec: FieldSpec, ncols: int):
     """Kernel basis of a homogeneous system, one vector per free column,
     free columns in ascending order."""
-    reduced, pivots = rref(rows, spec)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    zero, one = spec.zero(), spec.one()
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis
+    kernel = _kernel([[a.val for a in r] for r in rows], spec.ops, ncols)
+    return [[spec.box(v) for v in vec] for vec in kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +351,20 @@ def nullspace(rows: list[list[Scalar]], spec: FieldSpec, ncols: int):
 # ---------------------------------------------------------------------------
 
 def poly_eval(f: Poly, x: ExactMatrix) -> ExactMatrix:
-    """Horner evaluation of f at a matrix argument."""
+    """Horner evaluation of f at a matrix argument; adding a coefficient
+    changes only the diagonal."""
     if f.spec != x.spec:
         raise FieldMismatch("polynomial over a different field")
-    acc = ExactMatrix.zeros(x.spec, x.n)
-    ident = ExactMatrix.identity(x.spec, x.n)
+    spec = x.spec
+    add = spec.ops.add
+    acc = ExactMatrix.zeros(spec, x.n)
     for c in reversed(f.coeffs):
         acc = acc * x
         if not c.is_zero:
-            acc = acc + ident.scale(c)
+            rows = [list(r) for r in acc.rows]
+            for i, row in enumerate(rows):
+                row[i] = spec.box(add(row[i].val, c.val))
+            acc = ExactMatrix._of(spec, tuple(map(tuple, rows)))
     return acc
 
 
@@ -377,44 +375,41 @@ def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
     system, so the basis is deterministic.
     """
     n = x.n
-    spec = x.spec
-    zero = spec.zero()
+    ops = x.spec.ops
+    add, sub = ops.add, ops.sub
+    xr = x._raw_rows()
     nn = n * n
     # unknown y_{rc} at index r*n + c; equation per (i, j):
     # sum_k x_{ik} y_{kj} - y_{ik} x_{kj} = 0
     eqs = []
     for i in range(n):
         for j in range(n):
-            row = [zero] * nn
+            row = [ops.zero] * nn
             for k in range(n):
-                row[k * n + j] = row[k * n + j] + x.rows[i][k]
-                row[i * n + k] = row[i * n + k] - x.rows[k][j]
+                row[k * n + j] = add(row[k * n + j], xr[i][k])
+                row[i * n + k] = sub(row[i * n + k], xr[k][j])
             eqs.append(row)
-    basis_vecs = nullspace(eqs, spec, nn)
-    out = []
-    for vec in basis_vecs:
-        rows = [vec[i * n:(i + 1) * n] for i in range(n)]
-        out.append(ExactMatrix(spec, rows))
-    return out
+    return [ExactMatrix._raw(x.spec, [vec[i * n:(i + 1) * n] for i in range(n)])
+            for vec in _kernel(eqs, ops, nn)]
 
 
 def minimal_polynomial(x: ExactMatrix) -> Poly:
     """Monic least-degree annihilator, via the first linear dependency
-    among the powers I, x, x^2, ..."""
-    n = x.n
-    spec = x.spec
-    vecs = [[e for row in ExactMatrix.identity(spec, n).rows for e in row]]
+    among the powers I, x, x^2, ...; the empty matrix has 1."""
+    n, spec, ops = x.n, x.spec, x.spec.ops
+    if n == 0:
+        return Poly.one(spec)
     power = ExactMatrix.identity(spec, n)
+    vecs = [[e.val for row in power.rows for e in row]]
     for d in range(1, n + 1):
         power = power * x
-        vecs.append([e for row in power.rows for e in row])
+        vecs.append([e.val for row in power.rows for e in row])
         # columns are the vectorized powers; a kernel vector is a dependency
-        cols = [[vecs[j][i] for j in range(d + 1)] for i in range(n * n)]
-        kernel = nullspace(cols, spec, d + 1)
+        kernel = _kernel([list(col) for col in zip(*vecs)], ops, d + 1)
         if kernel:
-            coeffs = kernel[0]
-            lead_inv = coeffs[d].inverse()
-            return Poly(spec, [c * lead_inv for c in coeffs])
+            lead_inv = ops.inv(kernel[0][d])
+            return Poly(spec, [spec.box(ops.mul(c, lead_inv))
+                               for c in kernel[0]])
     raise AssertionError("no annihilating polynomial of degree <= n")
 
 

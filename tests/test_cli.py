@@ -118,6 +118,32 @@ def test_decompose(capsys, tmp_path):
         ExactMatrix.from_ints(Q, [[0, 1], [0, 0]])
 
 
+def test_decompose_empty_matrix(capsys, tmp_path):
+    """The 0 x 0 matrix decomposes into two empty matrices."""
+    path = tmp_path / "empty.json"
+    path.write_text('{"field": "Q", "n": 0, "rows": []}')
+    code, out, err = run(capsys, "decompose", "--input", str(path), "--json")
+    assert code == 0 and err == ""
+    empty = {"field": "Q", "n": 0, "rows": []}
+    assert json.loads(out) == {"semisimple": empty, "nilpotent": empty}
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "4", "--field", "GF(2)", "--q", "2"],
+    ["cross-validate", "--n", "3", "--char", "2"],
+], ids=lambda argv: argv[0])
+def test_budget_below_one_is_usage_error(capsys, argv, budget):
+    """A span has at least one element, so a budget below 1 would skip
+    every check; it is refused like any other bad argument."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", budget])
+    assert exc.value.code == 64
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == (f"nilclose {argv[0]}: error: argument --budget: "
+                    f"must be positive, got {budget}")
+
+
 def test_cross_validate_cli(capsys):
     code, out, _ = run(capsys, "cross-validate", "--n", "4", "--char", "2",
                        "--degrees", "1", "--json")

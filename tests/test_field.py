@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilclose.errors import (
     DivisionByZero,
@@ -72,6 +73,54 @@ def test_field_axioms_sampled():
             assert a * b == b * a
             if not a.is_zero:
                 assert a * a.inverse() == spec.one()
+
+
+# Q and GF(p^k) for p in {2, 3, 5, 7} and k <= 4
+AXIOM_FIELDS = [Q] + [galois(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3, 4)]
+
+
+@st.composite
+def _field_and_elements(draw, count=3):
+    """A field and `count` of its elements."""
+    spec = draw(st.sampled_from(AXIOM_FIELDS))
+    if spec.is_finite:
+        element = st.integers(0, spec.order - 1).map(spec.element_from_index)
+    else:
+        element = st.fractions(max_denominator=50).filter(
+            lambda f: abs(f.numerator) < 10 ** 6).map(spec.scalar)
+    return spec, [draw(element) for _ in range(count)]
+
+
+_AXIOMS = settings(max_examples=300, deadline=None, derandomize=True,
+                   database=None)
+
+
+@_AXIOMS
+@given(_field_and_elements())
+def test_field_axioms_through_ops(case):
+    """The field axioms hold for the raw ops object of each field, and the
+    Scalar operators agree with it."""
+    spec, (a, b, c) = case
+    ops, x, y, z = spec.ops, a.val, b.val, c.val
+    assert ops.add(ops.add(x, y), z) == ops.add(x, ops.add(y, z))
+    assert ops.mul(ops.mul(x, y), z) == ops.mul(x, ops.mul(y, z))
+    assert ops.mul(x, ops.add(y, z)) == ops.add(ops.mul(x, y), ops.mul(x, z))
+    assert ops.mul(x, y) == ops.mul(y, x)
+    assert ops.add(x, ops.neg(x)) == ops.zero
+    assert ops.submul(x, y, z) == ops.sub(x, ops.mul(y, z))
+    assert ops.is_zero(x) == (x == ops.zero)
+    assert (a * b).val == ops.mul(x, y) and (a - b).val == ops.sub(x, y)
+    if not ops.is_zero(x):
+        assert ops.mul(x, ops.inv(x)) == ops.one
+        assert a * a.inverse() == spec.one()
+
+
+@_AXIOMS
+@given(_field_and_elements(count=1))
+def test_text_round_trip(case):
+    spec, (a,) = case
+    assert spec.parse_scalar(str(a)) == a
+    assert parse_field(str(spec)) == spec
 
 
 def test_frobenius_additive():

@@ -3,8 +3,10 @@ closed form for polynomials of a single cell, semisimplicity and the
 semisimple-plus-nilpotent decomposition."""
 
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from nilclose.errors import NotNilpotent, OutOfRange, PartitionTooLarge
 from nilclose.field import Poly, galois, rationals
@@ -172,3 +174,78 @@ def test_jordan_chevalley_properties():
             assert is_semisimple(s)
             # both parts are polynomials in x, hence commute with x
             assert s.commutator(x).is_zero
+
+
+# ---------------------------------------------------------------------------
+# differential checks against sympy
+# ---------------------------------------------------------------------------
+
+def _unimodular(n, rng):
+    """Random integer matrix of determinant 1: a product of elementary
+    row operations, as a sympy Matrix."""
+    p = sympy.eye(n)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        p[i, :] = p[i, :] + rng.choice([-1, 1]) * p[j, :]
+    return p
+
+
+def _sympy_cells(jordan_form):
+    """Sizes of the Jordan blocks of a sympy Jordan normal form."""
+    sizes, size = [], 1
+    for i in range(1, jordan_form.rows):
+        if jordan_form[i - 1, i] == 0:
+            sizes.append(size)
+            size = 0
+        size += 1
+    return sorted(sizes + [size], reverse=True)
+
+
+def _from_sympy(m):
+    return ExactMatrix(Q, [[Q.scalar(Fraction(int(m[i, j].p), int(m[i, j].q)))
+                            for j in range(m.cols)] for i in range(m.rows)])
+
+
+def _random_partition(n, rng):
+    parts, left = [], n
+    while left:
+        parts.append(rng.randint(1, left))
+        left -= parts[-1]
+    return parts
+
+
+def test_jordan_partition_matches_sympy():
+    """Nilpotent P*J*P^-1 with P unimodular: the cell sizes agree with
+    the block sizes of sympy's Jordan form."""
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        p = _unimodular(n, rng)
+        j = _from_sympy_blocks(_random_partition(n, rng), [0] * n)
+        x = p * j * p.inv()
+        _, form = x.jordan_form()
+        assert list(jordan_partition(_from_sympy(x)).parts) == \
+            _sympy_cells(form)
+
+
+def test_jordan_chevalley_matches_sympy():
+    """For x = P*J*P^-1 with integer eigenvalues, P unimodular and J in
+    Jordan form, the semisimple part is P*diag(J)*P^-1, computed in
+    sympy's exact arithmetic."""
+    rng = random.Random(29)
+    for _ in range(15):
+        n = rng.randint(1, 6)
+        parts = _random_partition(n, rng)
+        j = _from_sympy_blocks(parts, [rng.randint(-2, 2) for _ in parts])
+        p = _unimodular(n, rng)
+        x = p * j * p.inv()
+        s, u = jordan_chevalley(_from_sympy(x))
+        assert s == _from_sympy(p * sympy.diag(*j.diagonal()) * p.inv())
+        assert u == _from_sympy(x) - s
+
+
+def _from_sympy_blocks(parts, eigenvalues):
+    """Block-diagonal sympy matrix of Jordan cells of the given sizes."""
+    return sympy.diag(*[sympy.Matrix(m, m, lambda i, j: lam if i == j
+                                     else 1 if j == i + 1 else 0)
+                        for m, lam in zip(parts, eigenvalues)])

@@ -1,14 +1,17 @@
 """Exact matrix algebra: rank, kernels, polynomial evaluation,
 centralizers, minimal polynomials and the JSON file format."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from nilclose.errors import DimensionMismatch, FieldMismatch, MalformedMatrix
 from nilclose.field import Poly, galois, rationals
+from nilclose.jordan import jordan_chevalley
 from nilclose.matrices import (
     ExactMatrix,
     centralizer_basis,
@@ -181,7 +184,8 @@ def _sparse_rows(spec, nrows, ncols, density, rng):
     return rows
 
 
-@pytest.mark.parametrize("spec", [Q, galois(2), GF7, GF4, galois(2, 3)],
+@pytest.mark.parametrize("spec", [Q, galois(2), GF7, GF4, galois(2, 3),
+                                  galois(3, 2), galois(3, 3), galois(2, 12)],
                          ids=str)
 def test_zero_skipping_kernels_match_dense_reference(spec):
     """Products, ranks and kernels skip zero entries; a dense triple loop
@@ -206,6 +210,21 @@ def test_zero_skipping_kernels_match_dense_reference(spec):
                     for a, v in zip(row, vec):
                         dot = dot + a * v
                     assert dot.is_zero
+
+
+@pytest.mark.parametrize("spec", [galois(2, 12), galois(5, 6), galois(3, 2),
+                                  galois(7)], ids=str)
+def test_product_with_every_coefficient_maximal(spec):
+    """Every coefficient of every entry is p - 1 at n = 26: each packed
+    slot of the integer product reaches its largest possible sum, so a slot
+    too narrow to hold it would carry into its neighbour and show here."""
+    n = 26
+    top = spec.scalar([spec.char - 1] * spec.degree)
+    x = ExactMatrix(spec, [[top] * n for _ in range(n)])
+    assert x * x == _dense_product(x, x)
+    half = ExactMatrix(spec, [[top if (i + j) % 2 else spec.one()
+                               for j in range(n)] for i in range(n)])
+    assert x * half == _dense_product(x, half)
 
 
 def test_poly_eval():
@@ -260,6 +279,18 @@ def test_minimal_polynomial():
     assert minimal_polynomial(d) == Poly.from_ints(Q, [2, -3, 1])
     lam = ExactMatrix.from_ints(Q, [[5, 1], [0, 5]])
     assert minimal_polynomial(lam) == Poly.from_ints(Q, [25, -10, 1])
+
+
+def test_empty_matrix():
+    """The 0 x 0 matrix: its minimal polynomial is 1, it has rank 0, and
+    its decomposition is (x, x)."""
+    for spec in (Q, GF7, GF4):
+        x = ExactMatrix(spec, [])
+        assert minimal_polynomial(x) == Poly.one(spec)
+        assert rank(x) == 0
+        assert x * x == x and poly_eval(Poly.from_ints(spec, [1, 2]), x) == x
+        assert centralizer_basis(x) == []
+        assert jordan_chevalley(x) == (x, x)
 
 
 def test_minimal_polynomial_annihilates():
@@ -324,3 +355,78 @@ def test_json_rejects_bad_scalar():
     with pytest.raises(ValueError) as exc:
         matrix_from_json(data)
     assert "row 1" in str(exc.value) and "column 1" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# structure golden
+# ---------------------------------------------------------------------------
+
+STRUCTURE_FIELDS = {"Q": Q, "GF(7)": GF7, "GF(4)": GF4,
+                    "GF(8)": galois(2, 3), "GF(9)": galois(3, 2)}
+STRUCTURE_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "structure_golden.json").read_text())
+
+
+def _structure_input(spec, n, rng):
+    """A conjugated Jordan matrix with a few distinct eigenvalues, so that
+    both parts of the decomposition are nonzero, and a polynomial."""
+    def element(limit):
+        if spec.is_finite:
+            return spec.element_from_index(
+                rng.randrange(min(limit, spec.order)))
+        return spec.from_int(rng.randint(-(limit // 2), limit // 2))
+    sizes, left = [], n
+    while left:
+        sizes.append(rng.randint(1, left))
+        left -= sizes[-1]
+    x = ExactMatrix.block_diag(
+        spec, [ExactMatrix.jordan_cell(spec, element(3), m) for m in sizes])
+    for _ in range(2 * n):                  # x -> E x E^-1, E = I + c e_ij
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j:
+            continue
+        c = element(5)
+        e = [[spec.one() if a == b else spec.zero() for b in range(n)]
+             for a in range(n)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c
+        x = ExactMatrix(spec, e) * x * ExactMatrix(spec, e_inv)
+    f = Poly(spec, [element(5) for _ in range(rng.randint(1, 5))])
+    return x, f
+
+
+def _sha(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", STRUCTURE_GOLDEN,
+                         ids=lambda c: f"{c['field']}-n{c['n']}")
+def test_structure_golden(case):
+    """Structure results are byte-identical to those of the Scalar kernels.
+
+    Each digest is the SHA-256 of ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"))`` for the input x, the pair
+    ``[matrix_to_json(s), matrix_to_json(u)]`` of ``jordan_chevalley(x)``,
+    ``str(minimal_polynomial(x))``, the list of ``matrix_to_json`` of
+    ``centralizer_basis(x)``, ``[str(f), matrix_to_json(poly_eval(f, x))]``
+    and ``rank(x)``, where ``x, f = _structure_input(spec, n,
+    random.Random(f"{field}-{n}"))``.  The digests were captured by
+    running exactly this computation on the commit before the kernels
+    moved to raw values (products and elimination on boxed Scalars, Horner
+    steps adding a scaled identity), with no source file changed.
+    """
+    spec = STRUCTURE_FIELDS[case["field"]]
+    x, f = _structure_input(spec, case["n"],
+                            random.Random(f"{case['field']}-{case['n']}"))
+    s, u = jordan_chevalley(x)
+    got = {
+        "x": _sha(matrix_to_json(x)),
+        "jordan_chevalley": _sha([matrix_to_json(s), matrix_to_json(u)]),
+        "minimal_polynomial": _sha(str(minimal_polynomial(x))),
+        "centralizer_basis": _sha([matrix_to_json(b)
+                                   for b in centralizer_basis(x)]),
+        "poly_eval": _sha([str(f), matrix_to_json(poly_eval(f, x))]),
+        "rank": _sha(rank(x)),
+    }
+    assert got == {key: case[key] for key in got}
