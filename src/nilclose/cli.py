@@ -46,10 +46,6 @@ def _emit(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _parse_q(text: str, n: int) -> QSet:
-    return QSet.parse(text, n)
-
-
 def _field_arg(text: str):
     try:
         return parse_field(text)
@@ -91,7 +87,7 @@ _positive_int = _int_at_least(1, "positive")
 # ---------------------------------------------------------------------------
 
 def _cmd_criterion(args) -> int:
-    q = _parse_q(args.q, args.n)
+    q = QSet.parse(args.q, args.n)
     result = check_criterion(args.n, args.char, q)
     if args.json:
         _emit(result.to_json())
@@ -131,7 +127,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_member(args) -> int:
     x = load_matrix(args.input)
-    q = _parse_q(args.q, x.n)
+    q = QSet.parse(args.q, x.n)
     if args.cls is None:
         verdict = member_mq(x, q)
     else:
@@ -144,7 +140,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    q = _parse_q(args.q, args.n)
+    q = QSet.parse(args.q, args.n)
     w = falsify(args.n, args.char, q)
     if w is None:
         if args.json:
@@ -170,7 +166,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    q = _parse_q(args.q, args.n)
+    q = QSet.parse(args.q, args.n)
     if args.mode == "exhaustive":
         report = exhaustive_check(args.n, args.field, q, budget=args.budget)
     else:
@@ -208,7 +204,7 @@ def _cmd_cross_validate(args) -> int:
     if args.q is None:
         q_range = "all"
     else:
-        q_range = [_parse_q(tok, args.n) for tok in args.q.split(";")]
+        q_range = [QSet.parse(tok, args.n) for tok in args.q.split(";")]
     report = cross_validate(args.n, args.char, args.degrees, q_range,
                             budget=args.budget)
     if args.json:

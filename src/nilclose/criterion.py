@@ -198,16 +198,8 @@ def member_ms(x: ExactMatrix, cls: str) -> bool:
     if cls == "zero":
         return x.is_zero
     if cls == "scalars":
-        c = x.rows[0][0] if x.n else None
-        for i in range(x.n):
-            for j in range(x.n):
-                e = x.rows[i][j]
-                if i == j:
-                    if e != c:
-                        return False
-                elif not e.is_zero:
-                    return False
-        return True
+        return x.n == 0 or x == ExactMatrix.identity(
+            x.spec, x.n).scale(x.rows[0][0])
     if cls == "semisimple":
         return is_semisimple(x)
     if cls == "semisimple_traceless":

@@ -4,8 +4,9 @@ Every field has one ops object that holds all of its arithmetic, on raw
 values: reduced ``Fraction``s over Q, residues ``0 <= a < p`` over GF(p),
 and coefficient tuples reduced modulo p and the irreducible modulus over
 GF(p^k).  ``Scalar`` is a thin immutable facade that pairs a raw value
-with its field and delegates every operation to the ops object; the
-matrix kernels call the ops object directly and box each result once.
+with its field and delegates every operation to the ops object; matrices
+store raw values and their kernels call the ops object directly.  The
+default extension modulus is the least irreducible by Rabin's test.
 The module also provides the roots-of-unity search, the extension-degree
 computation needed to realize those roots, and the geometric sums that
 control the block constructions in the witness module.
@@ -65,12 +66,28 @@ def _digits(v: int, p: int, k: int) -> list[int]:
 
 
 def _gfp_irreducible(f, p) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    deg = len(f) - 1
-    if deg < 1:
+    """Rabin's test for a monic f of degree k over GF(p): f is irreducible
+    iff t^(p^k) = t mod f and gcd(t^(p^(k/r)) - t, f) = 1 for every prime
+    r dividing k.  Powers of t are taken in GF(p)[t]/(f) through
+    ``_ExtensionOps``, whose reduction needs f monic only."""
+    k = len(f) - 1
+    if k < 1:
         return False
-    return all(_gfp_divmod(f, tuple(_digits(v, p, d)) + (1,), p)[1]
-               for d in range(1, deg // 2 + 1) for v in range(p ** d))
+    ops = _ExtensionOps(p, f)
+    t = ops.fold([0, 1] + [0] * (k - 1))
+    frobenius = [t]                     # t^(p^j) mod f for j = 0..k
+    for _ in range(k):
+        power = ops.one
+        for bit in bin(p)[2:]:          # square and multiply, high bit first
+            power = ops.mul(power, power)
+            if bit == "1":
+                power = ops.mul(power, frobenius[-1])
+        frobenius.append(power)
+    gfp = FieldSpec(p)
+    return frobenius[k] == t and all(
+        Poly.from_ints(gfp, f).gcd(
+            Poly.from_ints(gfp, ops.sub(frobenius[k // r], t))).degree == 0
+        for r in range(2, k + 1) if k % r == 0 and is_prime(r))
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,9 @@
 
 Covers the algebra operations, exact rank and kernel defect, polynomial
 evaluation, centralizer bases and minimal polynomials.  Everything is
-immutable and pure.  Entries are Scalars, but every kernel computes on
-the field's raw values (``spec.ops``) and boxes each result entry once.
+immutable and pure.  Entries are stored as the field's raw values
+(``spec.ops``), which every kernel reads and writes; Scalars appear only
+at the public boundary, ``ExactMatrix(spec, rows)`` and ``rows``.
 
 A product lifts both factors to Python ints and runs one zero-skipping
 loop for every field: over Q row i of the left factor is scaled to its
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
 
 from .errors import DimensionMismatch, FieldMismatch, MalformedMatrix
@@ -29,9 +30,10 @@ from .field import FieldSpec, Poly, Scalar, parse_field
 
 
 class ExactMatrix:
-    """Immutable square matrix with Scalar entries."""
+    """Immutable square matrix over a FieldSpec; ``rows`` boxes the raw
+    entries as Scalars on first access and caches them."""
 
-    __slots__ = ("spec", "n", "rows")
+    __slots__ = ("spec", "n", "_vals", "_rows")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -42,31 +44,32 @@ class ExactMatrix:
             for x in r:
                 if x.spec is not spec and x.spec != spec:
                     raise FieldMismatch("entry from a different field")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        for name, value in (("spec", spec), ("n", n), ("_rows", rows),
+                            ("_vals", tuple(tuple(x.val for x in r)
+                                            for r in rows))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
-    def _of(cls, spec: FieldSpec, rows: tuple) -> "ExactMatrix":
-        """A kernel result: a square tuple of tuples of Scalars of spec,
-        taken without the checks."""
+    def _of(cls, spec: FieldSpec, vals) -> "ExactMatrix":
+        """A kernel result: square rows of raw values of spec, taken
+        without the checks."""
         self = object.__new__(cls)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "rows", rows)
+        for name, value in (("spec", spec), ("n", len(vals)), ("_rows", None),
+                            ("_vals", tuple(map(tuple, vals)))):
+            object.__setattr__(self, name, value)
         return self
 
-    @classmethod
-    def _raw(cls, spec: FieldSpec, raw_rows) -> "ExactMatrix":
-        """Box a square kernel result of raw values."""
-        box = spec.box
-        return cls._of(spec, tuple(tuple(map(box, r)) for r in raw_rows))
-
-    def _raw_rows(self) -> list[list]:
-        return [[a.val for a in r] for r in self.rows]
+    @property
+    def rows(self) -> tuple:
+        """The entries as a tuple of tuples of Scalars."""
+        if self._rows is None:
+            box = self.spec.box
+            object.__setattr__(self, "_rows", tuple(tuple(map(box, r))
+                                                    for r in self._vals))
+        return self._rows
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -75,13 +78,13 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, spec: FieldSpec, n: int) -> "ExactMatrix":
-        z = spec.zero()
-        return cls(spec, [[z] * n for _ in range(n)])
+        return cls._of(spec, [[spec.ops.zero] * n] * n)
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "ExactMatrix":
-        z, o = spec.zero(), spec.one()
-        return cls(spec, [[o if i == j else z for j in range(n)] for i in range(n)])
+        z, o = spec.ops.zero, spec.ops.one
+        return cls._of(spec, [[o if i == j else z for j in range(n)]
+                              for i in range(n)])
 
     @classmethod
     def jordan_cell(cls, spec: FieldSpec, eigenvalue: Scalar, m: int) -> "ExactMatrix":
@@ -98,16 +101,15 @@ class ExactMatrix:
             n = total
         if total > n:
             raise DimensionMismatch(f"blocks of total size {total} exceed n={n}")
-        z = spec.zero()
-        rows = [[z] * n for _ in range(n)]
+        rows = [[spec.ops.zero] * n for _ in range(n)]
         off = 0
         for b in blocks:
             if b.spec != spec:
                 raise FieldMismatch("block over a different field")
-            for i, row in enumerate(b.rows):
+            for i, row in enumerate(b._vals):
                 rows[off + i][off:off + b.n] = row
             off += b.n
-        return cls(spec, rows)
+        return cls._of(spec, rows)
 
     # -- basics ---------------------------------------------------------------
     def _check(self, other: "ExactMatrix"):
@@ -118,20 +120,21 @@ class ExactMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.spec == other.spec
-                and self.rows == other.rows)
+                and self._vals == other._vals)
 
     def __hash__(self):
-        return hash((self.spec, self.rows))
+        return hash((self.spec, self._vals))
 
     @property
     def is_zero(self) -> bool:
-        return all(x.is_zero for r in self.rows for x in r)
+        is_zero = self.spec.ops.is_zero
+        return all(all(map(is_zero, r)) for r in self._vals)
 
     def _zip(self, other, op):
         self._check(other)
-        return ExactMatrix._raw(self.spec,
-                                [[op(a.val, b.val) for a, b in zip(ra, rb)]
-                                 for ra, rb in zip(self.rows, other.rows)])
+        return ExactMatrix._of(self.spec,
+                               [list(map(op, ra, rb))
+                                for ra, rb in zip(self._vals, other._vals)])
 
     def __add__(self, other):
         return self._zip(other, self.spec.ops.add)
@@ -145,12 +148,12 @@ class ExactMatrix:
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Row times matrix over the integer images of both factors: row i
         of the product sums a_ik times row k of other, over the nonzero
-        a_ik and row k's nonzeros, and each nonzero sum is boxed once."""
+        a_ik and row k's nonzeros, and each nonzero sum is reduced once."""
         self._check(other)
-        left, right, box = _integer_factors(self, other)
+        left, right, value = _integer_factors(self, other)
         sparse_rows = [[(j, b) for j, b in enumerate(row) if b]
                        for row in right]
-        zero = self.spec.zero()
+        zero = self.spec.ops.zero
         out = []
         for i, row_i in enumerate(left):
             acc = [0] * self.n
@@ -158,15 +161,15 @@ class ExactMatrix:
                 if a and sparse_k:
                     for j, b in sparse_k:
                         acc[j] += a * b
-            out.append(tuple([box(i, v) if v else zero for v in acc]))
-        return ExactMatrix._of(self.spec, tuple(out))
+            out.append([value(i, v) if v else zero for v in acc])
+        return ExactMatrix._of(self.spec, out)
 
     def scale(self, c: Scalar) -> "ExactMatrix":
         if c.spec != self.spec:
             raise FieldMismatch("scalar from a different field")
         mul, cv = self.spec.ops.mul, c.val
-        return ExactMatrix._raw(self.spec,
-                                [[mul(cv, a.val) for a in r] for r in self.rows])
+        return ExactMatrix._of(self.spec,
+                               [[mul(cv, a) for a in r] for r in self._vals])
 
     def power(self, e: int) -> "ExactMatrix":
         if e < 0:
@@ -185,7 +188,9 @@ class ExactMatrix:
         return self * other - other * self
 
     def trace(self) -> Scalar:
-        return sum((r[i] for i, r in enumerate(self.rows)), self.spec.zero())
+        diagonal = (r[i] for i, r in enumerate(self._vals))
+        return self.spec.box(reduce(self.spec.ops.add, diagonal,
+                                    self.spec.ops.zero))
 
     def __str__(self):
         cells = [[str(x) for x in r] for r in self.rows]
@@ -197,34 +202,34 @@ class ExactMatrix:
 
 
 def _denominator(row) -> int:
-    """Least common denominator of a row of rationals."""
-    return lcm(*(a.val.denominator for a in row))
+    """Least common denominator of a row of Fractions."""
+    return lcm(*(a.denominator for a in row))
 
 
 def _numerators(row, d: int) -> list[int]:
-    """A row of rationals times its common denominator d."""
-    return [a.val.numerator * (d // a.val.denominator) for a in row]
+    """A row of Fractions times its common denominator d."""
+    return [a.numerator * (d // a.denominator) for a in row]
 
 
 def _integer_factors(x: ExactMatrix, y: ExactMatrix):
-    """Integer images of the factors of x * y, and box(i, v): the Scalar
-    of a nonzero integer sum v in row i of the product."""
-    spec, n, p, k = x.spec, x.n, x.spec.char, x.spec.degree
+    """Integer images of the factors of x * y, and value(i, v): the raw
+    value of a nonzero integer sum v in row i of the product."""
+    n, p, k = x.n, x.spec.char, x.spec.degree
     if p == 0:
         # row i of x over its common denominator d_i, all of y over D
-        dens = [_denominator(r) for r in x.rows]
-        big = lcm(*map(_denominator, y.rows))
-        return ([_numerators(r, d) for r, d in zip(x.rows, dens)],
-                [_numerators(r, big) for r in y.rows],
-                lambda i, v: Scalar(spec, Fraction(v, dens[i] * big)))
+        dens = [_denominator(r) for r in x._vals]
+        big = lcm(*map(_denominator, y._vals))
+        return ([_numerators(r, d) for r, d in zip(x._vals, dens)],
+                [_numerators(r, big) for r in y._vals],
+                lambda i, v: Fraction(v, dens[i] * big))
     if k == 1:
-        return (x._raw_rows(), y._raw_rows(), lambda i, v: spec.box(v % p))
+        return x._vals, y._vals, lambda i, v: v % p
     # GF(p^k): coefficient t in bits [t*w, (t+1)*w).  A slot of a sum of n
     # products of packed entries is at most n*k*(p-1)^2 < 2^w, so no slot
     # carries into the next.  Entries and sums repeat in small fields, so
     # each distinct one is packed or reduced once per product.
     w = (n * k * (p - 1) ** 2).bit_length() + 1
-    mask, shifts, fold = (1 << w) - 1, range(0, (2 * k - 1) * w, w), spec.ops.fold
+    mask, shifts, fold = (1 << w) - 1, range(0, (2 * k - 1) * w, w), x.spec.ops.fold
 
     @lru_cache(maxsize=None)
     def pack(val):
@@ -232,9 +237,9 @@ def _integer_factors(x: ExactMatrix, y: ExactMatrix):
 
     @lru_cache(maxsize=None)
     def unpack(v):
-        return spec.box(fold([(v >> s) & mask for s in shifts]))
-    return ([[pack(a.val) for a in r] for r in x.rows],
-            [[pack(a.val) for a in r] for r in y.rows],
+        return fold([(v >> s) & mask for s in shifts])
+    return ([list(map(pack, r)) for r in x._vals],
+            [list(map(pack, r)) for r in y._vals],
             lambda i, v: unpack(v))
 
 
@@ -305,8 +310,8 @@ def _echelon(m: list[list], ops, full: bool) -> list[int]:
 def rank(x: ExactMatrix) -> int:
     """Exact rank; Bareiss over Q, forward elimination over finite fields."""
     if x.spec.char == 0:
-        return _rank_bareiss([_numerators(r, _denominator(r)) for r in x.rows])
-    return len(_echelon(x._raw_rows(), x.spec.ops, full=False))
+        return _rank_bareiss([_numerators(r, _denominator(r)) for r in x._vals])
+    return len(_echelon(list(map(list, x._vals)), x.spec.ops, full=False))
 
 
 def defect(x: ExactMatrix) -> int:
@@ -351,20 +356,22 @@ def nullspace(rows: list[list[Scalar]], spec: FieldSpec, ncols: int):
 # ---------------------------------------------------------------------------
 
 def poly_eval(f: Poly, x: ExactMatrix) -> ExactMatrix:
-    """Horner evaluation of f at a matrix argument; adding a coefficient
-    changes only the diagonal."""
+    """Horner evaluation of f at a matrix argument, from the leading
+    coefficient down; adding a coefficient changes only the diagonal."""
     if f.spec != x.spec:
         raise FieldMismatch("polynomial over a different field")
     spec = x.spec
+    if f.is_zero:
+        return ExactMatrix.zeros(spec, x.n)
     add = spec.ops.add
-    acc = ExactMatrix.zeros(spec, x.n)
-    for c in reversed(f.coeffs):
+    acc = ExactMatrix.identity(spec, x.n).scale(f.coeffs[-1])
+    for c in reversed(f.coeffs[:-1]):
         acc = acc * x
         if not c.is_zero:
-            rows = [list(r) for r in acc.rows]
+            rows = [list(r) for r in acc._vals]
             for i, row in enumerate(rows):
-                row[i] = spec.box(add(row[i].val, c.val))
-            acc = ExactMatrix._of(spec, tuple(map(tuple, rows)))
+                row[i] = add(row[i], c.val)
+            acc = ExactMatrix._of(spec, rows)
     return acc
 
 
@@ -377,7 +384,7 @@ def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
     n = x.n
     ops = x.spec.ops
     add, sub = ops.add, ops.sub
-    xr = x._raw_rows()
+    xr = x._vals
     nn = n * n
     # unknown y_{rc} at index r*n + c; equation per (i, j):
     # sum_k x_{ik} y_{kj} - y_{ik} x_{kj} = 0
@@ -389,28 +396,22 @@ def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
                 row[k * n + j] = add(row[k * n + j], xr[i][k])
                 row[i * n + k] = sub(row[i * n + k], xr[k][j])
             eqs.append(row)
-    return [ExactMatrix._raw(x.spec, [vec[i * n:(i + 1) * n] for i in range(n)])
+    return [ExactMatrix._of(x.spec, [vec[i * n:(i + 1) * n] for i in range(n)])
             for vec in _kernel(eqs, ops, nn)]
 
 
 def minimal_polynomial(x: ExactMatrix) -> Poly:
-    """Monic least-degree annihilator, via the first linear dependency
-    among the powers I, x, x^2, ...; the empty matrix has 1."""
-    n, spec, ops = x.n, x.spec, x.spec.ops
-    if n == 0:
-        return Poly.one(spec)
-    power = ExactMatrix.identity(spec, n)
-    vecs = [[e.val for row in power.rows for e in row]]
-    for d in range(1, n + 1):
-        power = power * x
-        vecs.append([e.val for row in power.rows for e in row])
-        # columns are the vectorized powers; a kernel vector is a dependency
-        kernel = _kernel([list(col) for col in zip(*vecs)], ops, d + 1)
-        if kernel:
-            lead_inv = ops.inv(kernel[0][d])
-            return Poly(spec, [spec.box(ops.mul(c, lead_inv))
-                               for c in kernel[0]])
-    raise AssertionError("no annihilating polynomial of degree <= n")
+    """Monic least-degree annihilator, the first linear dependency among
+    the vectorized powers I, x, ..., x^n (the empty matrix has 1): the
+    kernel vector of the first free column d is monic of degree d, as the
+    rows of later pivots are zero in column d."""
+    n, spec = x.n, x.spec
+    powers = [ExactMatrix.identity(spec, n)]
+    for _ in range(n):
+        powers.append(powers[-1] * x)
+    vecs = [[e for row in power._vals for e in row] for power in powers]
+    kernel = _kernel([list(col) for col in zip(*vecs)], spec.ops, n + 1)
+    return Poly(spec, map(spec.box, kernel[0]))
 
 
 # ---------------------------------------------------------------------------

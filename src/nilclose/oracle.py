@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
-from .criterion import QSet, check_criterion, all_qsets
+from .criterion import QSet, all_qsets, check_criterion, member_mq
 from .errors import (
     BudgetExceeded,
     Inconsistency,
@@ -41,7 +42,6 @@ from .witness import (
     Witness,
     build_coupled_cells,
     _gap_quotient_ops,
-    _pad,
     falsify,
     verify_witness,
 )
@@ -209,9 +209,6 @@ class _ClosureTable:
     partitions: tuple[tuple[int, ...], ...]
 
 
-_CLOSURE_CACHE: dict = {}
-
-
 def _span_rows(gens: np.ndarray, p: int) -> np.ndarray:
     """Every GF(p) combination of the flattened generators, in odometer
     order (last coefficient moves fastest)."""
@@ -257,11 +254,8 @@ def _nilpotent_span_elements(gens: np.ndarray, n: int, k: int, p: int):
             len(hi_rows) * len(lo_rows))
 
 
+@lru_cache(maxsize=None)
 def _closure_table(spec: FieldSpec, n: int, p: Partition) -> _ClosureTable:
-    key = (spec, n, p.parts)
-    cached = _CLOSURE_CACHE.get(key)
-    if cached is not None:
-        return cached
     char, k, q = spec.char, spec.degree, spec.order
     size = n * k
     dtype = _dtype(char, size)
@@ -287,10 +281,8 @@ def _closure_table(spec: FieldSpec, n: int, p: Partition) -> _ClosureTable:
     ids, partitions = _batch_partitions(batch.reshape(-1, size, size),
                                         n, k, char)
     ids = ids.reshape(q, records)
-    table = _ClosureTable(total, x, basis, indices, ids[0], ids[1:].T,
-                          tuple(partitions))
-    _CLOSURE_CACHE[key] = table
-    return table
+    return _ClosureTable(total, x, basis, indices, ids[0], ids[1:].T,
+                         tuple(partitions))
 
 
 def _rebuild_span_element(table: _ClosureTable, y_index: int,
@@ -446,16 +438,18 @@ def _witness_family_pairs(n: int, spec: FieldSpec, q: QSet):
         if 2 * m > n:
             continue
         cell = ExactMatrix.jordan_cell(spec, spec.zero(), m)
-        zdiag = _pad(ExactMatrix.block_diag(spec, [cell, cell]), n)
+        zdiag = ExactMatrix.block_diag(spec, [cell, cell], n)
         for eps in roots_of_unity(spec, m):
             if eps == one:
                 continue
-            out.append((zdiag, _pad(build_coupled_cells(m, one, eps, spec), n)))
+            out.append((zdiag, ExactMatrix.block_diag(
+                spec, [build_coupled_cells(m, one, eps, spec)], n)))
     for m in sorted({1} | set(q.elements)):
         for m1 in q:
             if m1 > m + 2 and m + m1 <= n:
                 z1, z2 = _gap_quotient_ops(m, m1, spec)
-                out.append((_pad(z1 + z2, n), _pad(z1, n)))
+                out.append((ExactMatrix.block_diag(spec, [z1 + z2], n),
+                            ExactMatrix.block_diag(spec, [z1], n)))
     return out
 
 
@@ -472,7 +466,6 @@ def sampled_check(n: int, spec: FieldSpec, q: QSet, samples: int,
 
     def check_pair(x, y):
         nonlocal pairs, combos
-        from .criterion import member_mq
         if not member_mq(x, q) or not member_mq(y, q):
             return None
         pairs += 1

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .criterion import QSet, check_criterion, is_char_power, member_mq
 from .errors import (
     DimensionTooSmall,
+    FieldMismatch,
     InternalInconsistency,
     IsCharPower,
     OutOfRange,
@@ -108,7 +109,6 @@ def build_coupled_cells(m: int, a: Scalar, b: Scalar,
     if m < 1:
         raise OutOfRange("cell size must be positive")
     if a.spec != spec or b.spec != spec:
-        from .errors import FieldMismatch
         raise FieldMismatch("coefficients from a different field")
     zero, one = spec.zero(), spec.one()
     n2 = 2 * m
@@ -119,14 +119,6 @@ def build_coupled_cells(m: int, a: Scalar, b: Scalar,
     for i in range(m):
         rows[i][m + i] = one
     return ExactMatrix(spec, rows)
-
-
-def _pad(x: ExactMatrix, n: int) -> ExactMatrix:
-    if x.n > n:
-        raise DimensionTooSmall(f"block of size {x.n} does not fit in n={n}")
-    if x.n == n:
-        return x
-    return ExactMatrix.block_diag(x.spec, [x], n)
 
 
 def _base_field(char: int) -> FieldSpec:
@@ -212,8 +204,8 @@ def witness_neighbor(m: int, n: int, char: int,
         # finite field too small to dodge the finitely many bad t values
         spec = galois(spec.char, 2 * spec.degree)
     cell = ExactMatrix.jordan_cell(spec, spec.zero(), m)
-    x = _pad(ExactMatrix.block_diag(spec, [cell, cell]), n)
-    y = _pad(build_coupled_cells(m, one, eps, spec), n)
+    x = ExactMatrix.block_diag(spec, [cell, cell], n)
+    y = ExactMatrix.block_diag(spec, [build_coupled_cells(m, one, eps, spec)], n)
     combo = x.scale(t) + y
     combo_part = jordan_partition(combo)
     violating = m + 1
@@ -259,8 +251,8 @@ def witness_gap(m: int, m1: int, n: int, spec: FieldSpec,
     if m + m1 > n:
         raise OutOfRange(f"need m + m1 <= n, got m={m}, m1={m1}, n={n}")
     z1, z2 = _gap_quotient_ops(m, m1, spec)
-    x = _pad(z1 + z2, n)
-    y = _pad(z1, n)
+    x = ExactMatrix.block_diag(spec, [z1 + z2], n)
+    y = ExactMatrix.block_diag(spec, [z1], n)
     a, b = spec.one(), -spec.one()
     combo_part = jordan_partition(x.scale(a) + y.scale(b))
     violating = m + 2

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from nilclose.errors import (
@@ -16,6 +17,7 @@ from nilclose.errors import (
 from nilclose.field import (
     FieldSpec,
     Poly,
+    _gfp_irreducible,
     default_modulus,
     extension_for_roots,
     galois,
@@ -225,6 +227,49 @@ def test_default_modulus_is_irreducible_and_least():
     assert default_modulus(2, 2) == (1, 1, 1)      # x^2 + x + 1
     assert default_modulus(3, 2) == (1, 0, 1)      # x^2 + 1
     assert default_modulus(2, 3) == (1, 1, 0, 1)   # x^3 + x + 1
+
+
+def _trial_division_irreducible(f, p):
+    """Reference: no monic polynomial of degree 1..deg(f)/2 divides f."""
+    def remainder(a, b):                # b monic of degree d
+        a, d = list(a), len(b) - 1
+        for i in range(len(a) - 1, d - 1, -1):
+            coef = a[i]
+            for j, bj in enumerate(b):
+                a[i - d + j] = (a[i - d + j] - coef * bj) % p
+        return any(a[:d])
+    k = len(f) - 1
+    return k >= 1 and all(
+        remainder(f, [v // p ** i % p for i in range(d)] + [1])
+        for d in range(1, k // 2 + 1) for v in range(p ** d))
+
+
+def test_rabin_irreducibility_matches_trial_division():
+    """Every monic f over GF(p), p in {2, 3, 5, 7}, with p^deg(f) <= 4096."""
+    for p in (2, 3, 5, 7):
+        k = 1
+        while p ** k <= 4096:
+            for v in range(p ** k):
+                f = tuple(v // p ** i % p for i in range(k)) + (1,)
+                assert _gfp_irreducible(f, p) == \
+                    _trial_division_irreducible(f, p), (p, f)
+            k += 1
+
+
+def test_default_modulus_of_large_extensions():
+    """The least monic irreducible of degree 16 over GF(5) and GF(7) and of
+    degree 40 over GF(2), checked against sympy: it is irreducible and
+    every smaller candidate is not."""
+    t = sympy.symbols("t")
+
+    def irreducible(coeffs, p):
+        return sympy.Poly(coeffs[::-1], t, modulus=p).is_irreducible
+    for p, k in ((5, 16), (2, 40), (7, 16)):
+        f = default_modulus(p, k)
+        assert len(f) == k + 1 and f[-1] == 1 and irreducible(f, p)
+        index = sum(c * p ** i for i, c in enumerate(f[:-1]))
+        assert not any(irreducible([u // p ** i % p for i in range(k)] + [1], p)
+                       for u in range(index))
 
 
 def test_scalar_text_encoding():

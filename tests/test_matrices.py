@@ -8,7 +8,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nilclose import matrices
 from nilclose.errors import DimensionMismatch, FieldMismatch, MalformedMatrix
 from nilclose.field import Poly, galois, rationals
 from nilclose.jordan import jordan_chevalley
@@ -293,6 +295,29 @@ def test_empty_matrix():
         assert jordan_chevalley(x) == (x, x)
 
 
+def test_minimal_polynomial_runs_one_kernel(monkeypatch):
+    """One elimination of the system of all powers I, x, ..., x^n gives
+    the minimal polynomial, whatever its degree."""
+    calls = []
+    kernel = matrices._kernel
+
+    def counting_kernel(*args):
+        calls.append(1)
+        return kernel(*args)
+    monkeypatch.setattr(matrices, "_kernel", counting_kernel)
+    cases = [
+        (ExactMatrix(Q, []), Poly.one(Q)),
+        (ExactMatrix.identity(GF7, 4), Poly.from_ints(GF7, [-1, 1])),
+        (jcell(GF4, 3), Poly.from_ints(GF4, [0, 0, 0, 1])),
+        (ExactMatrix.from_ints(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+         Poly.from_ints(Q, [2, -3, 1])),
+    ]
+    for x, expected in cases:
+        calls.clear()
+        assert minimal_polynomial(x) == expected
+        assert len(calls) == 1
+
+
 def test_minimal_polynomial_annihilates():
     rng = random.Random(41)
     for _ in range(25):
@@ -313,6 +338,39 @@ def test_json_round_trip():
         assert matrix_from_json(data) == x
         text = json.dumps(data)
         assert matrix_from_json(json.loads(text)) == x
+
+
+# Q and GF(p^k) for p in {2, 3, 5, 7} and k <= 3
+PROPERTY_FIELDS = [Q] + [galois(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)]
+
+
+@st.composite
+def _matrix_pair(draw):
+    """Two n x n matrices over one field, with many zero entries."""
+    spec = draw(st.sampled_from(PROPERTY_FIELDS))
+    n = draw(st.integers(0, 5))
+    if spec.is_finite:
+        entry = st.integers(0, spec.order - 1).map(spec.element_from_index)
+    else:
+        entry = st.fractions(min_value=-20, max_value=20,
+                             max_denominator=12).map(spec.scalar)
+    entry = st.one_of(st.just(spec.zero()), entry)
+    return tuple(ExactMatrix(spec, [[draw(entry) for _ in range(n)]
+                                    for _ in range(n)]) for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_matrix_pair())
+def test_json_round_trip_and_rank_bounds(pair):
+    """A matrix survives its JSON form with equal value, hash and text;
+    rank(xy) <= min(rank x, rank y) and rank(x+y) <= rank x + rank y."""
+    x, y = pair
+    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(x))))
+    assert back == x and hash(back) == hash(x) and str(back) == str(x)
+    assert ExactMatrix(x.spec, x.rows) == x and x.rows is x.rows
+    rx, ry = rank(x), rank(y)
+    assert rank(x * y) <= min(rx, ry)
+    assert rank(x + y) <= rx + ry
 
 
 def test_json_file_round_trip(tmp_path):

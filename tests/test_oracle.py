@@ -84,6 +84,14 @@ def test_exhaustive_determinism():
     assert a == b
 
 
+def test_closure_cache_reports_hits():
+    """A repeated scan reuses every closure table it built."""
+    exhaustive_check(4, GF3, qs([2], 4))
+    hits = oracle._closure_table.cache_info().hits
+    exhaustive_check(4, GF3, qs([2], 4))
+    assert oracle._closure_table.cache_info().hits > hits
+
+
 @pytest.mark.parametrize("spec", [GF3, GF4], ids=str)
 def test_exhaustive_golden_n4(spec):
     """Reports, with their counts and witnesses, as the lookup-table
