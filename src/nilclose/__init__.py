@@ -1,6 +1,11 @@
 """Closure analysis of nilpotent matrix sets defined by admitted Jordan
 cell sizes, with exact arithmetic over Q and GF(p^k), constructive
-counterexamples and a brute-force verification oracle."""
+counterexamples and a brute-force verification oracle.
+
+The ``nilclose`` logger is silent unless the application configures it;
+the oracle logs one debug line per closure table it builds."""
+
+import logging
 
 from .criterion import (
     CriterionResult,
@@ -94,3 +99,5 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+logging.getLogger("nilclose").addHandler(logging.NullHandler())

@@ -1,13 +1,26 @@
 """Brute-force verification of closure under spans of commuting pairs.
 
-The exhaustive oracle enumerates, for each admissible Jordan type X (one
-representative per conjugacy class), every element Y of the span of the
-centralizer of X, keeps the nilpotent ones whose cell sizes are admitted,
-and checks every combination a*X + b*Y.  Nilpotency of the candidates is
-recomputed by raw matrix powering so the oracle does not depend on the
-structure theory it is meant to check.
+The exhaustive oracle takes, for each admissible Jordan type X (one
+representative per conjugacy class), every nilpotent Y in the span of the
+centralizer C(X), keeps those whose cell sizes are admitted, and checks
+every combination a*X + b*Y.
 
-The inner loop runs on numpy integer arrays with native arithmetic mod p;
+The nilpotent Y are listed directly, not found by a scan of the span.  Let
+W_s = (ker X & im X^(s-1)) / (ker X & im X^s), of dimension r_s, the number
+of cells of size s.  Every Y in C(X) induces a map on each W_s, the map
+Y -> (induced maps) is linear and onto the product of the M_{r_s}(F), and
+its kernel is the radical of C(X) (R. Basili, J. Algebra 268 (2003)).  The
+W_s come from kernels and images of the powers of X alone.  A nilpotent Y
+induces nilpotent maps, so listing the preimages of the nilpotent tuples
+misses none; that every listed Y is nilpotent is the cited theorem, so it
+is recomputed by raw matrix powering and a miss raises Inconsistency.  The
+oracle thus does not depend on the structure theory it is meant to check.
+
+Partitions are computed once per scalar class: lam*Y has the partition of
+Y, and X + c*(lam*Y) that of X + (c*lam)*Y, so only the Y whose first
+nonzero coordinate is one are partitioned.
+
+The inner loops run on numpy integer arrays with native arithmetic mod p;
 a matrix over GF(p^k) enters as its regular representation over GF(p).
 Results are cached per (field, dimension, Jordan type) so scans over many
 q-sets reuse the enumeration.
@@ -15,9 +28,11 @@ q-sets reuse the enumeration.
 
 from __future__ import annotations
 
+import logging
 import random
+import time
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -37,7 +52,13 @@ from .jordan import (
     jordan_partition,
     partition_from_defects,
 )
-from .matrices import ExactMatrix, centralizer_basis, poly_eval
+from .matrices import (
+    ExactMatrix,
+    _echelon,
+    _kernel,
+    centralizer_basis,
+    poly_eval,
+)
 from .witness import (
     Witness,
     build_coupled_cells,
@@ -45,6 +66,8 @@ from .witness import (
     falsify,
     verify_witness,
 )
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +112,9 @@ def centralizer_dimension(p: Partition) -> int:
 # and a rank over GF(p^k) is the GF(p) rank divided by k.  For k = 1 it is
 # the identity.
 
-# Trace cells compared per step of the span scan.  The candidates of one
-# step set the oracle's peak memory; smaller steps lower it no further.
-_CHUNK_CELLS = 1 << 20
+# Matrices per step of the partition kernel.  The temporaries of one step
+# set the kernel's peak memory; the step size hardly changes its speed.
+_PARTITION_CHUNK = 1 << 16
 
 
 def _dtype(p: int, size: int):
@@ -117,14 +140,30 @@ def _regular_blocks(spec: FieldSpec) -> np.ndarray:
     return out
 
 
+def _indices(spec: FieldSpec, rows, ncols: int) -> np.ndarray:
+    """Enumeration indices of a matrix of raw values with ncols columns."""
+    return np.array([[spec.index_of(spec.box(v)) for v in row] for row in rows],
+                    dtype=np.int64).reshape(len(rows), ncols)
+
+
+def _lift(idx: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """GF(p) matrices of GF(p^k) matrices given by enumeration indices:
+    shape (..., a, b) becomes (..., a*k, b*k), entry (i, j) becoming the
+    block of rows i*k.. and columns j*k.."""
+    *lead, a, b = idx.shape
+    k = blocks.shape[1]
+    return blocks[idx].swapaxes(-3, -2).reshape(*lead, a * k, b * k)
+
+
 def _regular(x: ExactMatrix, blocks: np.ndarray, dtype) -> np.ndarray:
     """The nk x nk GF(p) regular representation of a GF(p^k) matrix."""
-    spec, n = x.spec, x.n
-    k = blocks.shape[1]
-    idx = np.array([[spec.index_of(e) for e in row] for row in x.rows],
-                   dtype=np.int64).reshape(n, n)
-    return blocks[idx].transpose(0, 2, 1, 3).reshape(n * k, n * k) \
-        .astype(dtype)
+    return _lift(_indices(x.spec, x._vals, x.n), blocks).astype(dtype)
+
+
+def _grid(base: int, length: int) -> np.ndarray:
+    """Every vector of `length` digits below `base`, one per row, in
+    odometer order (last digit fastest)."""
+    return np.indices((base,) * length).reshape(length, base ** length).T
 
 
 def _batch_nilpotent(mats: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -132,7 +171,8 @@ def _batch_nilpotent(mats: np.ndarray, n: int, p: int) -> np.ndarray:
     power = mats
     exponent = 1
     while exponent < n:
-        power = np.matmul(power, power) % p
+        power = np.matmul(power, power)
+        power %= p
         exponent *= 2
     return ~power.any(axis=(1, 2))
 
@@ -165,12 +205,10 @@ def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
-def _batch_partitions(mats: np.ndarray, n: int, k: int, p: int):
-    """Jordan partitions of a batch of nilpotent regular-representation
-    matrices, as (ids, partitions): partitions[ids[i]] is the descending
-    part tuple of mats[i], and each distinct partition appears once."""
-    # Defects of successive powers rise strictly until they reach n, so
-    # the set of values, kept as a bit mask, encodes the whole sequence.
+def _defect_codes(mats: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
+    """The defects of the successive powers of each nilpotent matrix, as
+    a bit mask.  They rise strictly until they reach n, so the set of
+    values encodes the whole sequence."""
     codes = np.full(len(mats), 1 << n, dtype=np.int64)
     live = np.arange(len(mats))         # rows whose power is still nonzero
     power = mats
@@ -183,6 +221,16 @@ def _batch_partitions(mats: np.ndarray, n: int, k: int, p: int):
             raise NotNilpotent("batch contains a non-nilpotent matrix")
         codes[live] |= np.left_shift(1, n - _batch_rank(power, p) // k)
         power = np.matmul(power, mats[live]) % p
+    return codes
+
+
+def _batch_partitions(mats: np.ndarray, n: int, k: int, p: int):
+    """Jordan partitions of a batch of nilpotent regular-representation
+    matrices, as (ids, partitions): partitions[ids[i]] is the descending
+    part tuple of mats[i], and each distinct partition appears once."""
+    codes = np.concatenate([
+        _defect_codes(mats[start:start + _PARTITION_CHUNK], n, k, p)
+        for start in range(0, len(mats), _PARTITION_CHUNK)])
     distinct, ids = np.unique(codes, return_inverse=True)
     partitions = [
         partition_from_defects([d for d in range(n + 1) if code >> d & 1]).parts
@@ -196,93 +244,208 @@ def _batch_partitions(mats: np.ndarray, n: int, k: int, p: int):
 
 @dataclass(frozen=True)
 class _ClosureTable:
-    """Every nilpotent Y in the centralizer span of X, in enumeration
-    order: its odometer index, the id of its partition and the ids of the
-    partitions of X + c*Y for c = 1..q-1 (by enumeration index), all
-    indexing into `partitions`."""
+    """Every nilpotent Y in the centralizer span of X, in odometer order
+    of its coordinates on `basis`, with the partitions of Y and of X + c*Y.
+
+    Each record is lam * R for a representative R, a record whose first
+    nonzero coordinate is one (or zero itself).  Y has the partition of R
+    and X + c*Y that of X + (c*lam)*R, so partitions are stored per
+    representative: `y_partition` and, for c = 1..q-1 by enumeration
+    index, `combo_partitions`, both indexing into `partitions`."""
     span_size: int
     x: ExactMatrix
     basis: tuple[ExactMatrix, ...]
     y_index: np.ndarray                 # (records,)
-    y_partition: np.ndarray             # (records,)
-    combo_partitions: np.ndarray        # (records, q - 1)
+    rep: np.ndarray                     # (records,) representative
+    lam: np.ndarray                     # (records,) enumeration index
+    y_partition: np.ndarray             # (reps,)
+    combo_partitions: np.ndarray        # (reps, q - 1)
     partitions: tuple[tuple[int, ...], ...]
+    mul: np.ndarray                     # (q, q) product of enumeration indices
+
+    def combo_ids(self, record: int) -> np.ndarray:
+        """Partition ids of X + c*Y for c = 1..q-1, Y the given record."""
+        lam = self.lam[record]
+        return self.combo_partitions[self.rep[record], self.mul[1:, lam] - 1]
 
 
-def _span_rows(gens: np.ndarray, p: int) -> np.ndarray:
-    """Every GF(p) combination of the flattened generators, in odometer
-    order (last coefficient moves fastest)."""
-    out = np.zeros((1, gens.shape[1]), dtype=gens.dtype)
-    digits = np.arange(p, dtype=gens.dtype)[:, None]
-    for g in gens:
-        out = ((out[:, None, :] + (digits * g)[None]) % p) \
-            .reshape(-1, gens.shape[1])
-    return out
+def _mat_vec(ops, rows, vec) -> list:
+    """Product of a matrix and a vector of raw values."""
+    add, mul = ops.add, ops.mul
+    return [reduce(add, map(mul, row, vec), ops.zero) for row in rows]
 
 
-def _trace_codes(rows: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
-    """Enumeration index of the GF(p^k) trace of each flattened regular
-    matrix: column 0 of the summed diagonal blocks."""
-    diag = np.arange(n)
-    blocks = rows.reshape(-1, n, k, n, k)[:, diag, :, diag, 0]   # (n, B, k)
-    trace = blocks.astype(np.int64).sum(axis=0) % p
-    return trace @ (p ** np.arange(k, dtype=np.int64))
+def _induced_maps(x: ExactMatrix, basis):
+    """The maps that the elements of `basis` induce on the quotients
+    W_s = (ker X & im X^(s-1)) / (ker X & im X^s) of nonzero dimension r_s.
+
+    Returns the r_s, deepest level first, and the matrix of the linear map
+    phi from span coordinates to the stacked r_s x r_s maps, one row per
+    entry (row-major within each map)."""
+    spec, n, ops = x.spec, x.n, x.spec.ops
+    powers = [ExactMatrix.identity(spec, n)]
+    for _ in range(n):
+        powers.append(powers[-1] * x)
+    # ker X & im X^(s-1) = X^(s-1) ker X^s.  Listed from the deepest level,
+    # the pivot vectors give a basis of ker X whose first vectors span each
+    # of these spaces; those added at level s span a complement, W_s.
+    spanning, levels = [], []
+    for s in range(n, 0, -1):
+        for u in _kernel([list(r) for r in powers[s]._vals], ops, n):
+            spanning.append(_mat_vec(ops, powers[s - 1]._vals, u))
+            levels.append(s)
+    pivots = _echelon([list(r) for r in zip(*spanning)], ops, full=False)
+    vs = [spanning[c] for c in pivots]
+    ell = len(vs)
+    # coordinates of every B_i v_a in the basis vs, read off a full echelon
+    cols = vs + [_mat_vec(ops, b._vals, v) for b in basis for v in vs]
+    m = [list(r) for r in zip(*cols)]
+    if _echelon(m, ops, full=True) != list(range(ell)):
+        raise Inconsistency("a centralizer element leaves ker X")
+    sizes, phi, first = [], [], 0
+    for s in sorted({levels[c] for c in pivots}, reverse=True):
+        r = sum(levels[c] == s for c in pivots)
+        span = range(first, first + r)
+        phi += [[m[b][ell * (1 + i) + a] for i in range(len(basis))]
+                for b in span for a in span]
+        sizes.append(r)
+        first += r
+    return sizes, phi
 
 
-def _nilpotent_span_elements(gens: np.ndarray, n: int, k: int, p: int):
-    """Odometer indices and regular matrices of the nilpotent elements of
-    the GF(p) span of `gens`, in enumeration order, and the span size."""
+def _solve_onto(phi: list[list], ops, d: int):
+    """A d x E right inverse of the E x d matrix phi and a kernel basis;
+    Inconsistency unless phi is onto."""
+    e_rows = len(phi)
+    aug = [row + [ops.one if j == e else ops.zero for j in range(e_rows)]
+           for e, row in enumerate(phi)]
+    pivots = _echelon(aug, ops, full=True)
+    if pivots[-1] >= d:
+        raise Inconsistency("the induced maps are not onto")
+    right = [[ops.zero] * e_rows for _ in range(d)]
+    for r, c in enumerate(pivots):
+        right[c] = aug[r][d:]
+    return right, _kernel([row[:] for row in phi], ops, d)
+
+
+def _odometer_index(coords: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Odometer index over GF(p^k) of span elements given by their GF(p)
+    coordinates, coefficient l of coordinate i at column k*i + l."""
+    index = np.zeros(len(coords), dtype=np.int64)
+    for i in range(coords.shape[1] // k):
+        for col in range(k * i + k - 1, k * i - 1, -1):
+            index = index * p + coords[:, col]
+    return index
+
+
+def _nilpotent_records(spec: FieldSpec, x: ExactMatrix, basis, blocks,
+                       dtype):
+    """The nilpotent elements of the span of `basis`, the centralizer of
+    the nilpotent x, from the radical split.
+
+    Returns their odometer indices in ascending order, the representative
+    and the enumeration index lam of each (record = lam * representative),
+    and the regular matrices of the representatives, ordered by index."""
+    char, k, q = spec.char, spec.degree, spec.order
+    n, d = x.n, len(basis)
+    sizes, phi = _induced_maps(x, basis)
+    right, kernel = _solve_onto(phi, spec.ops, d)
+    # Y is nilpotent iff every induced map is, so the nilpotent Y are the
+    # preimages of the nilpotent tuples plus the kernel of phi.
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    for r in sizes:
+        mats = _grid(q, r * r)
+        nil = mats[_batch_nilpotent(
+            _lift(mats.reshape(-1, r, r), blocks).astype(_dtype(char, r * k)),
+            r, char)]
+        tuples = np.concatenate([np.repeat(tuples, len(nil), axis=0),
+                                 np.tile(nil, (len(tuples), 1))], axis=1)
+    # GF(p) coordinates: coefficient l of coordinate i at column k*i + l
+    pre = blocks[tuples][..., 0].reshape(len(tuples), -1) \
+        @ _lift(_indices(spec, right, len(phi)), blocks).T % char
+    kernel_gens = _lift(_indices(spec, kernel, d).T, blocks)
+    rad = _grid(char, kernel_gens.shape[1]) @ kernel_gens.T % char
+    coords = (pre.astype(dtype)[:, None] + rad.astype(dtype)[None]) \
+        .reshape(-1, k * d)
+    coords %= char
+    # products below are length-k*d dot products of residues
+    wide = _dtype(char, k * d)
+    gens = np.stack([
+        _regular(b.scale(spec.element_from_index(char ** j)), blocks,
+                 wide).reshape(-1)
+        for b in basis for j in range(k)])
     size = n * k
-    d_hi = len(gens) // 2
-    hi_rows = _span_rows(gens[:d_hi], p)
-    lo_rows = _span_rows(gens[d_hi:], p)
-    # nilpotent => trace zero, i.e. trace(lo) == -trace(hi)
-    hi_codes = _trace_codes((-hi_rows) % p, n, k, p)
-    lo_codes = _trace_codes(lo_rows, n, k, p)
-    indices_out, mats_out = [], []
-    chunk = max(1, _CHUNK_CELLS // len(lo_rows))
-    for start in range(0, len(hi_rows), chunk):
-        hi_sel, lo_sel = np.nonzero(
-            hi_codes[start:start + chunk, None] == lo_codes[None, :])
-        mats = ((hi_rows[start + hi_sel] + lo_rows[lo_sel]) % p) \
-            .reshape(-1, size, size)
-        keep = np.flatnonzero(_batch_nilpotent(mats, n, p))
-        indices_out.append((start + hi_sel[keep]) * len(lo_rows)
-                           + lo_sel[keep])
-        mats_out.append(mats[keep])
-    return (np.concatenate(indices_out), np.concatenate(mats_out),
-            len(hi_rows) * len(lo_rows))
+    y_mats = ((pre.astype(wide) @ gens % char).astype(dtype)[:, None]
+              + (rad.astype(wide) @ gens % char).astype(dtype)[None]) \
+        .reshape(-1, size, size)
+    y_mats %= char
+    if not _batch_nilpotent(y_mats, n, char).all():
+        raise Inconsistency(f"a generated centralizer element over {spec} "
+                            f"is not nilpotent")
+    # representatives: first nonzero coordinate one, or zero itself
+    by_coord = coords.reshape(-1, d, k)
+    nonzero = by_coord.any(axis=2)
+    lead = by_coord[np.arange(len(coords)), nonzero.argmax(axis=1)]
+    is_rep = ~nonzero.any(axis=1) | ((lead[:, 0] == 1)
+                                      & ~lead[:, 1:].any(axis=1))
+    rep_index = _odometer_index(coords[is_rep], char, k)
+    order = np.argsort(rep_index)
+    rep_coords = coords[is_rep][order].reshape(-1, d, k)
+    rep_mats = y_mats[is_rep][order]
+    del y_mats, nonzero
+    reps = len(rep_coords)
+    # the records lam * R: R = 0, representative 0, once; the others for
+    # every lam
+    keys, rep_ids = [rep_index[order]], [np.arange(reps)]
+    lams = [np.ones(reps, dtype=np.int64)]
+    for lam in range(2, q):
+        scaled = np.matmul(rep_coords[1:], blocks[lam].T.astype(dtype)) % char
+        keys.append(_odometer_index(scaled.reshape(-1, k * d), char, k))
+        rep_ids.append(np.arange(1, reps))
+        lams.append(np.full(reps - 1, lam))
+    keys = np.concatenate(keys)
+    order_all = np.argsort(keys)
+    y_index = keys[order_all]
+    if not np.array_equal(y_index, np.sort(_odometer_index(coords, char, k))):
+        raise Inconsistency(f"the generated centralizer elements over {spec} "
+                            f"are not closed under scaling")
+    return (y_index, np.concatenate(rep_ids)[order_all],
+            np.concatenate(lams)[order_all], rep_mats)
 
 
 @lru_cache(maxsize=None)
 def _closure_table(spec: FieldSpec, n: int, p: Partition) -> _ClosureTable:
+    start = time.perf_counter()
     char, k, q = spec.char, spec.degree, spec.order
     size = n * k
     dtype = _dtype(char, size)
     blocks = _regular_blocks(spec)
     x = jordan_matrix(p, n, spec)
     basis = tuple(centralizer_basis(x))
-    # generator t^j * B_i sits at position k*i + (k-1-j), so the GF(p)
-    # odometer index of a span element equals its GF(q) odometer index
-    gens = np.stack([
-        _regular(b.scale(spec.element_from_index(char ** j)), blocks, dtype)
-        .reshape(-1)
-        for b in basis for j in reversed(range(k))])
-    indices, y_mats, total = _nilpotent_span_elements(gens, n, k, char)
-    # slot 0 holds Y, slot c holds X + c*Y
-    records = len(indices)
+    y_index, rep, lam, rep_mats = _nilpotent_records(spec, x, basis, blocks,
+                                                     dtype)
+    listed = time.perf_counter()
+    # slot 0 holds R, slot c holds X + c*R
+    reps = len(rep_mats)
+    batch = np.empty((q, reps, size, size), dtype=dtype)
+    batch[0] = rep_mats
     x_reg = _regular(x, blocks, dtype)
-    batch = np.empty((q, records, size, size), dtype=dtype)
-    batch[0] = y_mats
     eye = np.eye(n, dtype=np.int64)
     for c in range(1, q):
         scale = np.kron(eye, blocks[c]).astype(dtype)
-        batch[c] = (x_reg + np.matmul(scale, y_mats)) % char
+        batch[c] = (x_reg + np.matmul(scale, rep_mats)) % char
     ids, partitions = _batch_partitions(batch.reshape(-1, size, size),
                                         n, k, char)
-    ids = ids.reshape(q, records)
-    return _ClosureTable(total, x, basis, indices, ids[0], ids[1:].T,
-                         tuple(partitions))
+    ids = ids.reshape(q, reps)
+    coeffs = np.einsum("alm,bm->abl", blocks, blocks[:, :, 0]) % char
+    mul = coeffs @ char ** np.arange(k)
+    span_size = q ** len(basis)
+    _log.debug("closure table %s over %s: span %d, records %d, "
+               "representatives %d, listing %.3f s, partitions %.3f s",
+               p, spec, span_size, len(y_index), reps, listed - start,
+               time.perf_counter() - listed)
+    return _ClosureTable(span_size, x, basis, y_index, rep, lam, ids[0],
+                         ids[1:].T, tuple(partitions), mul)
 
 
 def _rebuild_span_element(table: _ClosureTable, y_index: int,
@@ -370,22 +533,25 @@ def exhaustive_check(n: int, spec: FieldSpec, q: QSet,
         matrices += table.span_size
         admitted = np.array([all(s in qset for s in part if s > 1)
                              for part in table.partitions], dtype=bool)
-        kept = np.flatnonzero(admitted[table.y_partition])
-        bad = ~admitted[table.combo_partitions[kept]]
-        hits = np.flatnonzero(bad.any(axis=1))
+        rep_kept = admitted[table.y_partition]
+        rep_hit = rep_kept & ~admitted[table.combo_partitions].all(axis=1)
+        kept = rep_kept[table.rep]
+        hits = np.flatnonzero(rep_hit[table.rep])
         if hits.size == 0:
-            pairs += kept.size
-            combos += order * order * kept.size
+            kept_count = int(np.count_nonzero(kept))
+            pairs += kept_count
+            combos += order * order * kept_count
             continue
         # The verdict for (a, b) depends only on c = b/a, and a = 1 runs
         # b through every c, so in (a, b) order the first violation of a
         # record is a = 1, b = the least bad c, after the q pairs with a = 0.
-        first = int(hits[0])
-        c = int(np.argmax(bad[first])) + 1
-        pairs += first + 1
-        combos += order * order * first + order + 1 + c
-        record = kept[first]
-        combo_part = table.partitions[table.combo_partitions[record, c - 1]]
+        record = int(hits[0])
+        before = int(np.count_nonzero(kept[:record]))
+        combo_ids = table.combo_ids(record)
+        c = int(np.argmax(~admitted[combo_ids])) + 1
+        pairs += before + 1
+        combos += order * order * before + order + 1 + c
+        combo_part = table.partitions[combo_ids[c - 1]]
         y = _rebuild_span_element(table, int(table.y_index[record]), spec)
         w = Witness("enumerated", spec, table.x, y,
                     spec.element_from_index(1), spec.element_from_index(c),

@@ -18,6 +18,7 @@ Every emitted witness is re-verified by direct computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .criterion import QSet, check_criterion, is_char_power, member_mq
 from .errors import (
@@ -192,16 +193,19 @@ def witness_neighbor(m: int, n: int, char: int,
     while True:
         one = spec.one()
         eps = next(r for r in roots_of_unity(spec, m) if r != one)
-        t = None
-        for cand in spec.elements():
-            if (cand + one).is_zero or (cand + eps).is_zero:
-                continue
-            if not geometric_sum(m, cand + one, cand + eps).is_zero:
-                t = cand
-                break
+        # S_m(t+1, t+eps) is a nonzero polynomial in t of degree at most
+        # m-1, so with t = -1 and t = -eps at most m+1 values of t are bad
+        t = next((cand for cand in islice(spec.elements(), m + 2)
+                  if not (cand + one).is_zero and not (cand + eps).is_zero
+                  and not geometric_sum(m, cand + one, cand + eps).is_zero),
+                 None)
         if t is not None:
             break
-        # finite field too small to dodge the finitely many bad t values
+        if not spec.is_finite or spec.order >= m + 2:
+            raise InternalInconsistency(
+                f"no t among the first {m + 2} elements of {spec} makes "
+                f"S_{m}(t+1, t+eps) nonzero")
+        # finite field too small to dodge the bad t values
         spec = galois(spec.char, 2 * spec.degree)
     cell = ExactMatrix.jordan_cell(spec, spec.zero(), m)
     x = ExactMatrix.block_diag(spec, [cell, cell], n)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nilclose import oracle
 from nilclose.cli import main
 from nilclose.field import rationals
 from nilclose.matrices import ExactMatrix, dump_matrix, matrix_from_json
@@ -94,6 +95,14 @@ def test_verify_exit_codes(capsys):
     code, _, err = run(capsys, "verify", "--n", "4", "--field", "GF(3)",
                        "--q", "2", "--budget", "10")
     assert code == 3 and "BudgetExceeded" in err
+
+
+def test_verify_default_run_writes_nothing_to_stderr(capsys):
+    """Building closure tables logs debug lines, which stay silent."""
+    oracle._closure_table.cache_clear()
+    code, out, err = run(capsys, "verify", "--n", "4", "--field", "GF(3)",
+                         "--q", "2,3", "--mode", "exhaustive")
+    assert code == 0 and out and err == ""
 
 
 def test_verify_sampled_json(capsys):

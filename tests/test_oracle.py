@@ -3,6 +3,7 @@ representatives, and the cross validation against criterion and witnesses."""
 
 import itertools
 import json
+import logging
 import random
 from pathlib import Path
 
@@ -27,12 +28,14 @@ from nilclose.oracle import (
     exhaustive_check,
     sampled_check,
 )
-from nilclose.witness import verify_witness
+from nilclose.witness import falsify, verify_witness
 
 GF2 = galois(2)
 GF3 = galois(3)
 GF4 = galois(2, 2)
+GF5 = galois(5)
 GF7 = galois(7)
+GF8 = galois(2, 3)
 GF9 = galois(3, 2)
 
 GOLDEN_N4 = json.loads(
@@ -133,6 +136,96 @@ def _random_nilpotent(spec, n, rng):
         e[i][j], e_inv[i][j] = c, -c
         x = ExactMatrix(spec, e) * x * ExactMatrix(spec, e_inv)
     return x
+
+
+def _partitions(n, largest=None):
+    """Every partition of n with parts at most `largest`, as descending
+    lists."""
+    if n == 0:
+        return [[]]
+    largest = n if largest is None else largest
+    return [[first] + rest for first in range(min(n, largest), 0, -1)
+            for rest in _partitions(n - first, first)]
+
+
+def _raw_nilpotent_indices(spec, n, basis):
+    """Odometer indices of the nilpotent elements of the span of `basis`,
+    by scanning every coordinate vector and powering its matrix."""
+    p, k, q = spec.char, spec.degree, spec.order
+    size = n * k
+    blocks = oracle._regular_blocks(spec)
+    # the regular matrix of c * B_i for every basis element and scalar c;
+    # int16 holds every sum and product below for p <= 5, size <= 12
+    terms = np.stack([
+        np.stack([oracle._regular(b.scale(spec.element_from_index(c)),
+                                  blocks, np.int16).reshape(-1)
+                  for c in range(q)])
+        for b in basis])
+    found = []
+    for start in range(0, q ** len(basis), 1 << 15):
+        index = np.arange(start, min(start + (1 << 15), q ** len(basis)))
+        y = np.zeros((len(index), size * size), dtype=np.int16)
+        rest = index.copy()
+        for i in reversed(range(len(basis))):
+            y += terms[i, rest % q]
+            rest //= q
+        power, exponent = y.reshape(-1, size, size) % p, 1
+        while exponent < n:
+            power, exponent = power @ power % p, 2 * exponent
+        found.append(index[~power.any(axis=(1, 2))])
+    return np.concatenate(found)
+
+
+def _raw_scan_cases():
+    cases = [(spec, n, part) for spec in (GF2, GF3, GF4, GF5, GF8)
+             for n in (2, 3, 4) for part in _partitions(n)
+             if part[0] >= 2 and spec.order ** centralizer_dimension(
+                 Partition(part)) <= 2 ** 20]
+    cases += [(GF2, 5, part) for part in _partitions(5) if part[0] >= 2]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "spec, n, part", _raw_scan_cases(),
+    ids=lambda v: str(v) if not isinstance(v, list) else
+    "[" + ",".join(map(str, v)) + "]")
+def test_closure_table_matches_raw_scan(spec, n, part):
+    """The nilpotent centralizer elements listed from the radical split
+    are exactly those a scan of the whole span finds by powering, and
+    there are q^(d - l) of them, l the number of cells."""
+    table = oracle._closure_table(spec, n, Partition(part))
+    d = len(table.basis)
+    raw = _raw_nilpotent_indices(spec, n, table.basis)
+    assert table.span_size == spec.order ** d
+    assert np.array_equal(table.y_index, raw)
+    assert len(raw) == spec.order ** (d - len(part))
+
+
+@pytest.mark.parametrize("spec", [GF4, GF5, GF8, GF9], ids=str)
+def test_scale_mapping_matches_exact_partitions(spec):
+    """For seeded records of every table at n <= 4 that fits the default
+    budget, the partitions a table stores for Y and X + c*Y, every c,
+    through its representative and c*lam, are the exact ones."""
+    rng = random.Random(spec.order)
+    for n in (2, 3, 4):
+        for part in _partitions(n):
+            p = Partition(part)
+            if part[0] < 2 or \
+                    spec.order ** centralizer_dimension(p) > 5_000_000:
+                continue
+            table = oracle._closure_table(spec, n, p)
+            records = rng.sample(range(len(table.y_index)),
+                                 min(200, len(table.y_index)))
+            for record in records:
+                y = oracle._rebuild_span_element(
+                    table, int(table.y_index[record]), spec)
+                stored = table.y_partition[table.rep[record]]
+                assert jordan_partition(y).parts == table.partitions[stored]
+                combo_ids = table.combo_ids(record)
+                for c in range(1, spec.order):
+                    combo = table.x + y.scale(spec.element_from_index(c))
+                    assert jordan_partition(combo).parts == \
+                        table.partitions[combo_ids[c - 1]], (part, record, c)
 
 
 @pytest.mark.parametrize("spec", [GF2, GF4, GF7, GF9, galois(251)], ids=str)
@@ -262,6 +355,40 @@ def test_cross_validate_char3_n5():
     assert set(report.accepted) == {
         "-", "2,3", "2,3,4", "2,3,4,5", "2,3,5"}
     assert report.witnesses == 2 ** 4 - 5
+
+
+def test_cross_check_n5_gf3_without_skips():
+    """Every Q at n = 5 in characteristic 3.  An accepted Q passes the
+    oracle over GF(3) with a budget that skips nothing; a rejected Q fails
+    it over the field of its witness whenever that field fits the default
+    budget."""
+    oracle_violations = 0
+    for q in all_qsets(5):
+        if check_criterion(5, 3, q).accepted:
+            assert exhaustive_check(5, GF3, q, budget=3 ** 17).passed, str(q)
+            continue
+        w = falsify(5, 3, q)
+        try:
+            report = exhaustive_check(5, w.field, q)
+        except BudgetExceeded:
+            continue
+        assert not report.passed, str(q)
+        oracle_violations += 1
+    assert oracle_violations == 7
+
+
+def test_closure_tables_log_one_debug_line_each(caplog):
+    oracle._closure_table.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="nilclose"):
+        exhaustive_check(4, GF3, qs([2, 3], 4))
+        exhaustive_check(4, GF3, qs([2, 3], 4))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "nilclose.oracle"]
+    assert len(lines) == oracle._closure_table.cache_info().misses == 3
+    assert lines[0].startswith("closure table [3,1] over GF(3): span 729, "
+                               "records 81, representatives 41, listing ")
+    assert any(isinstance(h, logging.NullHandler)
+               for h in logging.getLogger("nilclose").handlers)
 
 
 def test_report_serialization():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nilclose import witness
 from nilclose.criterion import QSet, check_criterion, all_qsets
 from nilclose.errors import (
     DimensionTooSmall,
@@ -118,6 +119,18 @@ def test_witness_neighbor_errors():
         witness_neighbor(3, 5, 0)
     with pytest.raises(OutOfRange):
         witness_neighbor(1, 4, 0)
+
+
+@pytest.mark.parametrize("m, char", [(2, 0), (3, 0), (3, 2)],
+                         ids=["Q", "GF(7)", "GF(4)->GF(16)"])
+def test_witness_neighbor_t_search_is_bounded(monkeypatch, m, char):
+    """With every geometric sum zero, the search gives up after m + 2
+    elements of a large enough field: over Q, over the surrogate GF(7),
+    and over GF(16) after GF(4) proves too small."""
+    monkeypatch.setattr(witness, "geometric_sum",
+                        lambda k, a, b: a.spec.zero())
+    with pytest.raises(InternalInconsistency):
+        witness_neighbor(m, 2 * m, char)
 
 
 def test_witness_gap():
