@@ -34,27 +34,21 @@ from .field import (
     surrogate_prime,
 )
 from .jordan import (
-    GSet,
     Partition,
-    g_set,
     is_semisimple,
     jordan_chevalley,
     jordan_matrix,
     jordan_partition,
-    nilpotency_index,
     predicted_poly_partition,
     squarefree_part,
 )
 from .matrices import (
     ExactMatrix,
     centralizer_basis,
-    defect,
-    dump_matrix,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
     minimal_polynomial,
-    nullspace,
     poly_eval,
     rank,
 )
@@ -85,12 +79,10 @@ __all__ = [
     "FieldSpec", "Poly", "Scalar", "extension_for_roots",
     "galois", "geometric_sum", "parse_field",
     "rationals", "roots_of_unity", "surrogate_prime",
-    "GSet", "Partition", "g_set", "is_semisimple", "jordan_chevalley",
-    "jordan_matrix", "jordan_partition", "nilpotency_index",
-    "predicted_poly_partition", "squarefree_part",
-    "ExactMatrix", "centralizer_basis", "defect", "dump_matrix",
-    "load_matrix", "matrix_from_json", "matrix_to_json",
-    "minimal_polynomial", "nullspace", "poly_eval", "rank",
+    "Partition", "is_semisimple", "jordan_chevalley", "jordan_matrix",
+    "jordan_partition", "predicted_poly_partition", "squarefree_part",
+    "ExactMatrix", "centralizer_basis", "load_matrix", "matrix_from_json",
+    "matrix_to_json", "minimal_polynomial", "poly_eval", "rank",
     "CrossValidationReport", "OracleReport", "admissible_partitions",
     "centralizer_dimension", "cross_validate", "exhaustive_check",
     "sampled_check",

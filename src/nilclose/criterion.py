@@ -19,7 +19,7 @@ from .errors import (
     OutOfRange,
 )
 from .field import is_prime
-from .jordan import g_set, jordan_chevalley, is_semisimple
+from .jordan import is_semisimple, jordan_chevalley, jordan_partition
 from .matrices import ExactMatrix
 
 MS_CLASSES = ("zero", "scalars", "semisimple", "semisimple_traceless")
@@ -187,7 +187,7 @@ def enumerate_valid_q(n: int, char: int, bound: int = 20) -> list[QSet]:
 def member_mq(x: ExactMatrix, q: QSet) -> bool:
     """True iff x is nilpotent with every non-unit cell size in q."""
     try:
-        sizes = g_set(x)
+        sizes = jordan_partition(x).nonunit_sizes
     except NotNilpotent:
         return False
     return all(s in q for s in sizes)

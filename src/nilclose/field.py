@@ -353,7 +353,18 @@ class FieldSpec:
                    count() if self.char == 0 else range(self.order))
 
     def parse_scalar(self, text: str) -> "Scalar":
-        return _parse_scalar(self, text)
+        text = text.strip()
+        if self.char == 0:
+            try:
+                return Scalar(self, Fraction(text))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"unparsable rational {text!r}") from exc
+        try:
+            if text.lstrip("-").isdigit():
+                return self.from_int(int(text))
+            return self.scalar(_parse_int_poly(text))
+        except ValueError as exc:
+            raise ValueError(f"unparsable {self} element {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -489,21 +500,6 @@ def _parse_int_poly(text: str):
     for power, coef in coeffs.items():
         out[power] = coef
     return tuple(out)
-
-
-def _parse_scalar(spec: FieldSpec, text: str) -> Scalar:
-    text = text.strip()
-    if spec.char == 0:
-        try:
-            return Scalar(spec, Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"unparsable rational {text!r}") from exc
-    try:
-        if text.lstrip("-").isdigit():
-            return spec.from_int(int(text))
-        return spec.scalar(_parse_int_poly(text))
-    except ValueError as exc:
-        raise ValueError(f"unparsable {spec} element {text!r}") from exc
 
 
 _FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?(?:;(.+))?\)$")

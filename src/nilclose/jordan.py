@@ -42,34 +42,10 @@ class Partition:
     def __str__(self):
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
-    def g_set(self) -> "GSet":
-        return GSet(p for p in self.parts if p > 1)
-
-
-@dataclass(frozen=True)
-class GSet:
-    """Multiset of non-unit cell sizes (a Partition with the 1s removed)."""
-
-    parts: tuple[int, ...]
-
-    def __init__(self, parts):
-        parts = tuple(sorted(parts, reverse=True))
-        if any(p < 2 for p in parts):
-            raise ValueError("g-set parts must be at least 2")
-        object.__setattr__(self, "parts", parts)
-
     @property
-    def sizes(self) -> frozenset[int]:
-        return frozenset(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __str__(self):
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+    def nonunit_sizes(self) -> frozenset[int]:
+        """The distinct cell sizes of at least 2."""
+        return frozenset(p for p in self.parts if p > 1)
 
 
 def _defect_chain(x: ExactMatrix):
@@ -91,13 +67,6 @@ def _defect_chain(x: ExactMatrix):
         if p < n:
             power = power * x
     raise NotNilpotent(f"matrix of size {n} with nonzero {n}-th power")
-
-
-def nilpotency_index(x: ExactMatrix) -> int:
-    """Least k with x^k = 0 (equals the maximal Jordan cell size)."""
-    if x.n == 0:
-        return 1
-    return len(_defect_chain(x))
 
 
 def jordan_partition(x: ExactMatrix) -> Partition:
@@ -129,11 +98,6 @@ def jordan_matrix(p: Partition, n: int, spec: FieldSpec) -> ExactMatrix:
     zero = spec.zero()
     cells = [ExactMatrix.jordan_cell(spec, zero, m) for m in p.parts]
     return ExactMatrix.block_diag(spec, cells, n)
-
-
-def g_set(x: ExactMatrix) -> GSet:
-    """Non-unit Jordan cell sizes of a nilpotent matrix."""
-    return jordan_partition(x).g_set()
 
 
 def predicted_poly_partition(m: int, k: int) -> Partition:

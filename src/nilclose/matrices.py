@@ -1,6 +1,6 @@
 """Dense exact matrices over a FieldSpec.
 
-Covers the algebra operations, exact rank and kernel defect, polynomial
+Covers the algebra operations, exact rank and kernels, polynomial
 evaluation, centralizer bases and minimal polynomials.  Everything is
 immutable and pure.  Entries are stored as the field's raw values
 (``spec.ops``), which every kernel reads and writes; Scalars appear only
@@ -13,7 +13,7 @@ GF(p) an entry is its residue; over GF(p^k) its coefficients are packed
 into one int (Kronecker substitution).  Each nonzero sum is reduced once.
 Elimination is one routine, ``_echelon``, with first-nonzero pivoting:
 run forward it gives the rank over finite fields; run in full it gives
-``rref``, ``nullspace``, centralizer bases and minimal polynomials.  Rank
+the kernels behind centralizer bases and minimal polynomials.  Rank
 over Q uses fraction-free (Bareiss) elimination on integer rows.  Zero
 entries are skipped; arithmetic is exact, so results do not depend on it.
 """
@@ -314,22 +314,6 @@ def rank(x: ExactMatrix) -> int:
     return len(_echelon(list(map(list, x._vals)), x.spec.ops, full=False))
 
 
-def defect(x: ExactMatrix) -> int:
-    """Dimension of the kernel."""
-    return x.n - rank(x)
-
-
-def rref(rows: list[list[Scalar]], spec: FieldSpec):
-    """Reduced row echelon form with first-nonzero pivoting.
-
-    Returns (reduced rows, pivot column list); deterministic for a given
-    input, which keeps every derived basis byte-stable.
-    """
-    m = [[a.val for a in r] for r in rows]
-    pivots = _echelon(m, spec.ops, full=True)
-    return [[spec.box(a) for a in r] for r in m], pivots
-
-
 def _kernel(m: list[list], ops, ncols: int) -> list[list]:
     """Raw kernel basis of the system m (consumed), one vector per free
     column, free columns in ascending order."""
@@ -342,13 +326,6 @@ def _kernel(m: list[list], ops, ncols: int) -> list[list]:
             vec[pc] = ops.neg(m[r][fc])
         basis.append(vec)
     return basis
-
-
-def nullspace(rows: list[list[Scalar]], spec: FieldSpec, ncols: int):
-    """Kernel basis of a homogeneous system, one vector per free column,
-    free columns in ascending order."""
-    kernel = _kernel([[a.val for a in r] for r in rows], spec.ops, ncols)
-    return [[spec.box(v) for v in vec] for vec in kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +442,3 @@ def load_matrix(path: str) -> ExactMatrix:
         except ValueError as exc:       # JSONDecodeError, UnicodeDecodeError
             raise MalformedMatrix(f"{path}: not a JSON file: {exc}") from exc
     return matrix_from_json(obj)
-
-
-def dump_matrix(x: ExactMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(x), fh, indent=2)
-        fh.write("\n")

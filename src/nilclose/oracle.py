@@ -45,7 +45,7 @@ from .errors import (
     NotNilpotent,
     OutOfRange,
 )
-from .field import FieldSpec, Poly, galois, roots_of_unity
+from .field import FieldSpec, Poly, galois
 from .jordan import (
     Partition,
     jordan_matrix,
@@ -59,13 +59,7 @@ from .matrices import (
     centralizer_basis,
     poly_eval,
 )
-from .witness import (
-    Witness,
-    build_coupled_cells,
-    _gap_quotient_ops,
-    falsify,
-    verify_witness,
-)
+from .witness import Witness, construction_pairs, falsify, verify_witness
 
 _log = logging.getLogger(__name__)
 
@@ -596,29 +590,6 @@ def _coefficient_pairs(spec: FieldSpec, rng: random.Random):
     return pairs
 
 
-def _witness_family_pairs(n: int, spec: FieldSpec, q: QSet):
-    """All neighbor- and gap-shaped commuting pairs that fit (n, q)."""
-    out = []
-    one = spec.one()
-    for m in q:
-        if 2 * m > n:
-            continue
-        cell = ExactMatrix.jordan_cell(spec, spec.zero(), m)
-        zdiag = ExactMatrix.block_diag(spec, [cell, cell], n)
-        for eps in roots_of_unity(spec, m):
-            if eps == one:
-                continue
-            out.append((zdiag, ExactMatrix.block_diag(
-                spec, [build_coupled_cells(m, one, eps, spec)], n)))
-    for m in sorted({1} | set(q.elements)):
-        for m1 in q:
-            if m1 > m + 2 and m + m1 <= n:
-                z1, z2 = _gap_quotient_ops(m, m1, spec)
-                out.append((ExactMatrix.block_diag(spec, [z1 + z2], n),
-                            ExactMatrix.block_diag(spec, [z1], n)))
-    return out
-
-
 def sampled_check(n: int, spec: FieldSpec, q: QSet, samples: int,
                   seed: int) -> OracleReport:
     """Randomized closure check over a structured catalog of commuting
@@ -654,7 +625,7 @@ def sampled_check(n: int, spec: FieldSpec, q: QSet, samples: int,
                 return w
         return None
 
-    for x, y in _witness_family_pairs(n, spec, q):
+    for x, y in construction_pairs(n, spec, q):
         matrices += 2
         w = check_pair(x, y)
         if w is not None:
@@ -723,6 +694,9 @@ def cross_validate(n: int, char: int, degrees, q_range="all",
     over one small field never contradicts a rejection: counterexamples may
     need extension fields, so that direction is not checked.
     """
+    if char == 0:
+        raise InfiniteField("cross validation runs the oracle over "
+                            "GF(char^d), which needs a prime char, not 0")
     if q_range == "all":
         qs = all_qsets(n)
     else:

@@ -13,6 +13,9 @@ combination leaves it.  Three constructions cover all rejections:
               whose difference has a single cell of size m+2.
 
 Every emitted witness is re-verified by direct computation.
+``construction_pairs`` lists every neighbor and gap pair that fits (n, q)
+over a given field, built as the witnesses build them; the sampled oracle
+draws its catalog from it.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def verify_witness(w: Witness, q: QSet) -> None:
     if part != w.combo_partition:
         raise InternalInconsistency(
             f"combination partition {part} != recorded {w.combo_partition}")
-    if w.violating_size not in part.g_set().sizes:
+    if w.violating_size not in part.nonunit_sizes:
         raise InternalInconsistency(
             f"violating size {w.violating_size} absent from combination {part}")
     if w.violating_size in q or w.violating_size == 1:
@@ -122,12 +125,21 @@ def build_coupled_cells(m: int, a: Scalar, b: Scalar,
     return ExactMatrix(spec, rows)
 
 
+def _neighbor_pair(m: int, eps: Scalar, n: int, spec: FieldSpec):
+    """diag(J, J) for a size-m cell J and the coupled cells with a = 1,
+    b = eps, both padded to dimension n."""
+    cell = ExactMatrix.jordan_cell(spec, spec.zero(), m)
+    return (ExactMatrix.block_diag(spec, [cell, cell], n),
+            ExactMatrix.block_diag(
+                spec, [build_coupled_cells(m, spec.one(), eps, spec)], n))
+
+
 def _base_field(char: int) -> FieldSpec:
     return rationals() if char == 0 else galois(char)
 
 
 def _pick_violating(combo_part: Partition, q: QSet | None) -> int:
-    sizes = sorted(combo_part.g_set().sizes, reverse=True)
+    sizes = sorted(combo_part.nonunit_sizes, reverse=True)
     if q is not None:
         for s in sizes:
             if s not in q:
@@ -207,9 +219,7 @@ def witness_neighbor(m: int, n: int, char: int,
                 f"S_{m}(t+1, t+eps) nonzero")
         # finite field too small to dodge the bad t values
         spec = galois(spec.char, 2 * spec.degree)
-    cell = ExactMatrix.jordan_cell(spec, spec.zero(), m)
-    x = ExactMatrix.block_diag(spec, [cell, cell], n)
-    y = ExactMatrix.block_diag(spec, [build_coupled_cells(m, one, eps, spec)], n)
+    x, y = _neighbor_pair(m, eps, n, spec)
     combo = x.scale(t) + y
     combo_part = jordan_partition(combo)
     violating = m + 1
@@ -219,10 +229,11 @@ def witness_neighbor(m: int, n: int, char: int,
                    note=note)
 
 
-def _gap_quotient_ops(m: int, m1: int, spec: FieldSpec):
-    """Matrices of the two quotient operators of the gap construction, in
-    the complement basis e_{1,1..m1-1}, e_{2,2..m2-1}, e_{1,m1}+e_{2,m2},
-    where e_{2,1} is identified with -e_{1,1}."""
+def _gap_pair(m: int, m1: int, n: int, spec: FieldSpec):
+    """The pair (z1 + z2, z1) of the gap construction, padded to dimension
+    n.  z1 and z2 are the two quotient operators, in the complement basis
+    e_{1,1..m1-1}, e_{2,2..m2-1}, e_{1,m1}+e_{2,m2}, where e_{2,1} is
+    identified with -e_{1,1}."""
     m2 = m + 2
     dim = m1 + m2 - 2
     zero, one = spec.zero(), spec.one()
@@ -243,7 +254,9 @@ def _gap_quotient_ops(m: int, m1: int, spec: FieldSpec):
         z2[idx2(k - 1)][idx2(k)] = one
     z2[idx1(1)][idx2(2)] = -one  # e_{2,1} = -e_{1,1} in the quotient
     z2[idx2(m2 - 1)][top] = one
-    return ExactMatrix(spec, z1), ExactMatrix(spec, z2)
+    z1, z2 = ExactMatrix(spec, z1), ExactMatrix(spec, z2)
+    return (ExactMatrix.block_diag(spec, [z1 + z2], n),
+            ExactMatrix.block_diag(spec, [z1], n))
 
 
 def witness_gap(m: int, m1: int, n: int, spec: FieldSpec,
@@ -254,15 +267,28 @@ def witness_gap(m: int, m1: int, n: int, spec: FieldSpec,
         raise OutOfRange(f"need m >= 1 and m1 > m+2, got m={m}, m1={m1}")
     if m + m1 > n:
         raise OutOfRange(f"need m + m1 <= n, got m={m}, m1={m1}, n={n}")
-    z1, z2 = _gap_quotient_ops(m, m1, spec)
-    x = ExactMatrix.block_diag(spec, [z1 + z2], n)
-    y = ExactMatrix.block_diag(spec, [z1], n)
+    x, y = _gap_pair(m, m1, n, spec)
     a, b = spec.one(), -spec.one()
     combo_part = jordan_partition(x.scale(a) + y.scale(b))
     violating = m + 2
     if q is not None and violating in q:
         violating = _pick_violating(combo_part, q)
     return Witness("gap", spec, x, y, a, b, combo_part, violating)
+
+
+def construction_pairs(n: int, spec: FieldSpec, q: QSet):
+    """All neighbor- and gap-shaped commuting pairs over spec that fit
+    (n, q): a neighbor pair for each m in q with 2m <= n and each m-th
+    root of unity other than 1, then a gap pair for each m in {1} | q and
+    m1 in q with m1 > m + 2 and m + m1 <= n."""
+    one = spec.one()
+    out = [_neighbor_pair(m, eps, n, spec)
+           for m in q if 2 * m <= n
+           for eps in roots_of_unity(spec, m) if eps != one]
+    out += [_gap_pair(m, m1, n, spec)
+            for m in sorted({1} | set(q.elements)) for m1 in q
+            if m1 > m + 2 and m + m1 <= n]
+    return out
 
 
 # ---------------------------------------------------------------------------

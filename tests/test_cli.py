@@ -7,7 +7,7 @@ import pytest
 from nilclose import oracle
 from nilclose.cli import main
 from nilclose.field import rationals
-from nilclose.matrices import ExactMatrix, dump_matrix, matrix_from_json
+from nilclose.matrices import ExactMatrix, matrix_from_json, matrix_to_json
 
 
 def run(capsys, *argv):
@@ -80,7 +80,8 @@ def test_partition_golden(capsys, tmp_path):
     Q = rationals()
     x = ExactMatrix.jordan_cell(Q, Q.zero(), 7).power(3)
     path = tmp_path / "mat.json"
-    dump_matrix(x, str(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(matrix_to_json(x), fh)
     code, out, _ = run(capsys, "partition", "--input", str(path))
     assert code == 0 and out.strip() == "[3,2,2]"
 
@@ -118,7 +119,8 @@ def test_decompose(capsys, tmp_path):
     Q = rationals()
     x = ExactMatrix.from_ints(Q, [[1, 1], [0, 1]])
     path = tmp_path / "mat.json"
-    dump_matrix(x, str(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(matrix_to_json(x), fh)
     code, out, _ = run(capsys, "decompose", "--input", str(path), "--json")
     assert code == 0
     data = json.loads(out)
@@ -159,6 +161,15 @@ def test_cross_validate_cli(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["accepted"]) == 5 and data["witnesses"] == 3
+
+
+@pytest.mark.parametrize("degrees", ["1", "2"])
+def test_cross_validate_char_zero_is_domain_error(capsys, degrees):
+    code, out, err = run(capsys, "cross-validate", "--n", "3", "--char", "0",
+                         "--degrees", degrees)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("InfiniteField: ")
 
 
 def test_usage_errors(capsys):

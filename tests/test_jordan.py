@@ -11,18 +11,15 @@ import sympy
 from nilclose.errors import NotNilpotent, OutOfRange, PartitionTooLarge
 from nilclose.field import Poly, galois, rationals
 from nilclose.jordan import (
-    GSet,
     Partition,
-    g_set,
     is_semisimple,
     jordan_chevalley,
     jordan_matrix,
     jordan_partition,
-    nilpotency_index,
     predicted_poly_partition,
     squarefree_part,
 )
-from nilclose.matrices import ExactMatrix, defect, minimal_polynomial, poly_eval
+from nilclose.matrices import ExactMatrix, minimal_polynomial, poly_eval, rank
 
 Q = rationals()
 GF2 = galois(2)
@@ -34,13 +31,20 @@ def jcell(spec, m):
     return ExactMatrix.jordan_cell(spec, spec.zero(), m)
 
 
+def nilpotency_index(x):
+    """Least k >= 1 with x^k = 0, found by raw powering."""
+    for k in range(1, max(x.n, 1) + 1):
+        if x.power(k).is_zero:
+            return k
+    raise NotNilpotent(f"matrix of size {x.n} with nonzero {x.n}-th power")
+
+
 def test_partition_normal_form():
     p = Partition([2, 3, 2])
     assert p.parts == (3, 2, 2)
     assert p.total == 7
     assert str(p) == "[3,2,2]"
-    assert p.g_set().sizes == frozenset({3, 2})
-    assert str(GSet([2, 3])) == "[3,2]"
+    assert p.nonunit_sizes == frozenset({3, 2})
 
 
 def test_nilpotency_index():
@@ -73,9 +77,10 @@ def test_jordan_matrix():
 
 def test_g_set():
     x = jordan_matrix(Partition([3, 2]), 7, Q)
-    assert g_set(x).sizes == frozenset({3, 2})
-    assert len(g_set(ExactMatrix.zeros(Q, 3))) == 0
-    assert g_set(jcell(Q, 4).power(3)).sizes == frozenset({2})
+    assert jordan_partition(x).nonunit_sizes == frozenset({3, 2})
+    assert len(jordan_partition(ExactMatrix.zeros(Q, 3)).nonunit_sizes) == 0
+    assert jordan_partition(jcell(Q, 4).power(3)).nonunit_sizes == \
+        frozenset({2})
 
 
 def test_partition_invariants():
@@ -91,7 +96,7 @@ def test_partition_invariants():
         x = jordan_matrix(Partition(parts), n, GF7)
         got = jordan_partition(x)
         assert got.total == n
-        assert len(got) == defect(x)
+        assert len(got) == n - rank(x)
         assert max(got.parts) == nilpotency_index(x)
 
 

@@ -16,10 +16,11 @@ from nilclose.errors import (
 )
 from nilclose.field import galois, geometric_sum, rationals
 from nilclose.jordan import Partition, jordan_partition
-from nilclose.matrices import defect
+from nilclose.matrices import rank
 from nilclose.witness import (
     Witness,
     build_coupled_cells,
+    construction_pairs,
     falsify,
     verify_witness,
     witness_gap,
@@ -57,7 +58,7 @@ def test_coupled_cells_stratification():
                     a = spec.element_from_index(ai)
                     b = spec.element_from_index(bi)
                     z = build_coupled_cells(m, a, b, spec)
-                    assert defect(z) == 2
+                    assert z.n - rank(z) == 2
                     expected = Partition([m, m]) \
                         if geometric_sum(m, a, b).is_zero \
                         else Partition([m + 1, m - 1])
@@ -70,7 +71,7 @@ def test_witness_power():
     assert w.violating_size == 2
     verify_witness(w, qs([4], 4))
     w = witness_power(9, 2, 16, GF2, qs([2, 9], 16))
-    assert w.combo_partition.g_set().sizes == {5, 4}
+    assert w.combo_partition.nonunit_sizes == {5, 4}
     assert w.violating_size == 5
     verify_witness(w, qs([2, 9], 16))
     w = witness_power(3, 2, 3, Q, qs([3], 3))
@@ -168,6 +169,26 @@ def test_falsify_completeness_small():
                 assert (w is None) == accepted
                 if w is not None:
                     verify_witness(w, q)
+
+
+def test_construction_pairs_hold_the_witness_pairs():
+    """The catalog of the sampled oracle and the witnesses share their
+    builders: every neighbor and gap witness at n <= 7 is one of the
+    catalog's pairs over its own field."""
+    seen = set()
+    for n in range(2, 8):
+        for char in (0, 2, 3, 5):
+            for q in all_qsets(n):
+                w = falsify(n, char, q)
+                if w is not None and w.construction != "power":
+                    seen.add(w.construction)
+                    assert (w.x, w.y) in construction_pairs(n, w.field, q)
+    assert seen == {"neighbor", "gap"}
+    pairs = construction_pairs(6, GF7, qs([2, 3, 5], 6))
+    # neighbor: root -1 for m = 2, two cube roots for m = 3; gap: (1, 5)
+    assert len(pairs) == 1 + 2 + 1
+    for x, y in pairs:
+        assert x.commutator(y).is_zero
 
 
 def test_verify_witness_rejects_tampering():
