@@ -1,6 +1,8 @@
-"""Nilpotent structure theory: Jordan partitions, the closed form for the
-Jordan type of a polynomial in a single nilpotent cell, semisimplicity
-testing and the Jordan-Chevalley decomposition over Q and GF(p^k)."""
+"""Nilpotent structure theory: Jordan partitions from the defects of the
+powers, read off the row-space chain R_k = R_(k-1) x without forming any
+power, the closed form for the Jordan type of a polynomial in a single
+nilpotent cell, semisimplicity testing and the Jordan-Chevalley
+decomposition over Q and GF(p^k)."""
 
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ from .errors import (
     PartitionTooLarge,
 )
 from .field import FieldSpec, Poly
-from .matrices import ExactMatrix, minimal_polynomial, poly_eval, rank
+from .matrices import (ExactMatrix, _echelon, _integer_factors, _product,
+                       _rank_bareiss, minimal_polynomial, poly_eval)
 
 
 @dataclass(frozen=True)
@@ -49,24 +52,34 @@ class Partition:
 
 
 def _defect_chain(x: ExactMatrix):
-    """Defects of successive powers up to the nilpotency index.
-
-    Returns the list [def(x^1), ..., def(x^h)] with def(x^h) = n, or raises
-    NotNilpotent when the defects stop short of n within n powers.
-    """
-    n = x.n
-    if n == 0:
-        return []
-    defects = []
-    power = x
-    for p in range(1, n + 1):
-        d = n - rank(power)
-        defects.append(d)
-        if d == n:
-            return defects
-        if p < n:
-            power = power * x
-    raise NotNilpotent(f"matrix of size {n} with nonzero {n}-th power")
+    """Defects [def(x^1), ..., def(x^h)] of the powers up to the nilpotency
+    index h, so def(x^h) = n, from the row spaces R_k of x^k: R_0 is the
+    whole space, R_k = R_(k-1) x and def(x^k) = n - dim R_k.  Each step
+    multiplies only the echelon basis of R_(k-1) by x and reduces the
+    products.  Over Q the rows are integer: x is scaled by the lcm of its
+    denominators, which changes no row space, Bareiss reduces, and each
+    product row is divided by its gcd.  Raises NotNilpotent when dim R_k
+    stops falling above 0."""
+    n, spec = x.n, x.spec
+    right, lift = _integer_factors(x)
+    rows = ExactMatrix.identity(spec, n)._vals
+    if spec.char == 0:
+        rows = [list(map(int, r)) for r in rows]
+    defects, dim = [], n
+    while dim:
+        if spec.char == 0:
+            rows = _product(rows[:dim], lambda i, v: v, right, 0)
+            rows = [[a // g for a in row] if (g := math.gcd(*row)) > 1
+                    else row for row in rows]
+            r = _rank_bareiss(rows)
+        else:
+            rows = _product(*lift(rows[:dim]), right, spec.ops.zero)
+            r = len(_echelon(rows, spec.ops, full=False))
+        if r == dim:
+            raise NotNilpotent(f"matrix of size {n} with nonzero {n}-th power")
+        defects.append(n - r)
+        dim = r
+    return defects
 
 
 def jordan_partition(x: ExactMatrix) -> Partition:

@@ -6,16 +6,18 @@ immutable and pure.  Entries are stored as the field's raw values
 (``spec.ops``), which every kernel reads and writes; Scalars appear only
 at the public boundary, ``ExactMatrix(spec, rows)`` and ``rows``.
 
-A product lifts both factors to Python ints and runs one zero-skipping
-loop for every field: over Q row i of the left factor is scaled to its
-common denominator d_i and the right factor to one denominator D; over
-GF(p) an entry is its residue; over GF(p^k) its coefficients are packed
-into one int (Kronecker substitution).  Each nonzero sum is reduced once.
-Elimination is one routine, ``_echelon``, with first-nonzero pivoting:
-run forward it gives the rank over finite fields; run in full it gives
-the kernels behind centralizer bases and minimal polynomials.  Rank
-over Q uses fraction-free (Bareiss) elimination on integer rows.  Zero
-entries are skipped; arithmetic is exact, so results do not depend on it.
+Products run one zero-skipping loop, ``_product``, for every field: any
+number of left rows times a square right factor, both lifted to Python
+ints.  Over Q row i of the left rows is scaled to its common denominator
+d_i and the right factor to one denominator D; over GF(p) an entry is its
+residue; over GF(p^k) its coefficients are packed into one int (Kronecker
+substitution).  Each nonzero sum is reduced once.  ``*`` and the row-space
+chain behind Jordan partitions share the loop; ``+``, ``-`` and ``scale``
+skip zero entries as well.  Elimination is one routine, ``_echelon``, with
+first-nonzero pivoting: run forward it gives the rank over finite fields;
+run in full it gives the kernels behind centralizer bases and minimal
+polynomials.  Rank over Q uses fraction-free (Bareiss) elimination on
+integer rows.  Skipping zeros is exact, so no result depends on it.
 """
 
 from __future__ import annotations
@@ -130,46 +132,37 @@ class ExactMatrix:
         is_zero = self.spec.ops.is_zero
         return all(all(map(is_zero, r)) for r in self._vals)
 
-    def _zip(self, other, op):
+    def _zip(self, other, op, from_zero):
+        """Entrywise op(a, b), skipping zeros: where b is zero the entry is
+        a, and where only a is zero it is from_zero(b)."""
         self._check(other)
-        return ExactMatrix._of(self.spec,
-                               [list(map(op, ra, rb))
-                                for ra, rb in zip(self._vals, other._vals)])
+        is_zero = self.spec.ops.is_zero
+        return ExactMatrix._of(self.spec, [
+            [a if is_zero(b) else from_zero(b) if is_zero(a) else op(a, b)
+             for a, b in zip(ra, rb)]
+            for ra, rb in zip(self._vals, other._vals)])
 
     def __add__(self, other):
-        return self._zip(other, self.spec.ops.add)
+        return self._zip(other, self.spec.ops.add, lambda b: b)
 
     def __sub__(self, other):
-        return self._zip(other, self.spec.ops.sub)
+        return self._zip(other, self.spec.ops.sub, self.spec.ops.neg)
 
     def __neg__(self):
         return self.scale(-self.spec.one())
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Row times matrix over the integer images of both factors: row i
-        of the product sums a_ik times row k of other, over the nonzero
-        a_ik and row k's nonzeros, and each nonzero sum is reduced once."""
         self._check(other)
-        left, right, value = _integer_factors(self, other)
-        sparse_rows = [[(j, b) for j, b in enumerate(row) if b]
-                       for row in right]
-        zero = self.spec.ops.zero
-        out = []
-        for i, row_i in enumerate(left):
-            acc = [0] * self.n
-            for a, sparse_k in zip(row_i, sparse_rows):
-                if a and sparse_k:
-                    for j, b in sparse_k:
-                        acc[j] += a * b
-            out.append([value(i, v) if v else zero for v in acc])
-        return ExactMatrix._of(self.spec, out)
+        right, lift = _integer_factors(other)
+        return ExactMatrix._of(self.spec, _product(*lift(self._vals), right,
+                                                   self.spec.ops.zero))
 
     def scale(self, c: Scalar) -> "ExactMatrix":
         if c.spec != self.spec:
             raise FieldMismatch("scalar from a different field")
-        mul, cv = self.spec.ops.mul, c.val
-        return ExactMatrix._of(self.spec,
-                               [[mul(cv, a) for a in r] for r in self._vals])
+        mul, is_zero, cv = self.spec.ops.mul, self.spec.ops.is_zero, c.val
+        return ExactMatrix._of(self.spec, [[a if is_zero(a) else mul(cv, a)
+                                            for a in r] for r in self._vals])
 
     def power(self, e: int) -> "ExactMatrix":
         if e < 0:
@@ -211,36 +204,60 @@ def _numerators(row, d: int) -> list[int]:
     return [a.numerator * (d // a.denominator) for a in row]
 
 
-def _integer_factors(x: ExactMatrix, y: ExactMatrix):
-    """Integer images of the factors of x * y, and value(i, v): the raw
-    value of a nonzero integer sum v in row i of the product."""
-    n, p, k = x.n, x.spec.char, x.spec.degree
+def _integer_factors(y: ExactMatrix):
+    """The rows of an integer image of y as (column, entry) lists over
+    their nonzeros, and lift(left) -> (rows, value) for raw rows left of
+    width y.n: their integer images, and the raw value value(i, v) of a
+    nonzero integer sum v in row i of left * y."""
+    n, p, k = y.n, y.spec.char, y.spec.degree
     if p == 0:
-        # row i of x over its common denominator d_i, all of y over D
-        dens = [_denominator(r) for r in x._vals]
+        # row i of left over its common denominator d_i, all of y over D
         big = lcm(*map(_denominator, y._vals))
-        return ([_numerators(r, d) for r, d in zip(x._vals, dens)],
-                [_numerators(r, big) for r in y._vals],
-                lambda i, v: Fraction(v, dens[i] * big))
-    if k == 1:
-        return x._vals, y._vals, lambda i, v: v % p
-    # GF(p^k): coefficient t in bits [t*w, (t+1)*w).  A slot of a sum of n
-    # products of packed entries is at most n*k*(p-1)^2 < 2^w, so no slot
-    # carries into the next.  Entries and sums repeat in small fields, so
-    # each distinct one is packed or reduced once per product.
-    w = (n * k * (p - 1) ** 2).bit_length() + 1
-    mask, shifts, fold = (1 << w) - 1, range(0, (2 * k - 1) * w, w), x.spec.ops.fold
+        right = [_numerators(r, big) for r in y._vals]
 
-    @lru_cache(maxsize=None)
-    def pack(val):
-        return sum(c << s for c, s in zip(val, shifts))
+        def lift(left):
+            dens = [_denominator(r) for r in left]
+            return ([_numerators(r, d) for r, d in zip(left, dens)],
+                    lambda i, v: Fraction(v, dens[i] * big))
+    elif k == 1:
+        right, lift = y._vals, lambda left: (left, lambda i, v: v % p)
+    else:
+        # GF(p^k): coefficient t in bits [t*w, (t+1)*w).  A slot of a sum
+        # of n products of packed entries is at most n*k*(p-1)^2 < 2^w, so
+        # no slot carries into the next.  Entries and sums repeat in small
+        # fields, so each distinct one is packed or reduced once.
+        w = (n * k * (p - 1) ** 2).bit_length() + 1
+        mask, shifts = (1 << w) - 1, range(0, (2 * k - 1) * w, w)
+        fold = y.spec.ops.fold
 
-    @lru_cache(maxsize=None)
-    def unpack(v):
-        return fold([(v >> s) & mask for s in shifts])
-    return ([list(map(pack, r)) for r in x._vals],
-            [list(map(pack, r)) for r in y._vals],
-            lambda i, v: unpack(v))
+        @lru_cache(maxsize=None)
+        def pack(val):
+            return sum(c << s for c, s in zip(val, shifts))
+
+        @lru_cache(maxsize=None)
+        def unpack(v):
+            return fold([(v >> s) & mask for s in shifts])
+        right = [list(map(pack, r)) for r in y._vals]
+
+        def lift(left):
+            return [list(map(pack, r)) for r in left], lambda i, v: unpack(v)
+    return [[(j, b) for j, b in enumerate(row) if b] for row in right], lift
+
+
+def _product(left, value, right, zero) -> list[list]:
+    """Rows of left times right over the integers: left is any number of
+    rows of width n and right the n sparse rows of _integer_factors.  Row
+    i sums a_ik times row k of right, over the nonzero a_ik and row k's
+    nonzeros; a nonzero sum v becomes value(i, v), a zero sum ``zero``."""
+    out = []
+    for i, row_i in enumerate(left):
+        acc = [0] * len(right)
+        for a, sparse_k in zip(row_i, right):
+            if a and sparse_k:
+                for j, b in sparse_k:
+                    acc[j] += a * b
+        out.append([value(i, v) if v else zero for v in acc])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 closed form for polynomials of a single cell, semisimplicity and the
 semisimple-plus-nilpotent decomposition."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
+from nilclose import jordan, matrices
+from nilclose.criterion import QSet
 from nilclose.errors import NotNilpotent, OutOfRange, PartitionTooLarge
 from nilclose.field import Poly, galois, rationals
 from nilclose.jordan import (
@@ -16,10 +20,12 @@ from nilclose.jordan import (
     jordan_chevalley,
     jordan_matrix,
     jordan_partition,
+    partition_from_defects,
     predicted_poly_partition,
     squarefree_part,
 )
 from nilclose.matrices import ExactMatrix, minimal_polynomial, poly_eval, rank
+from nilclose.witness import falsify
 
 Q = rationals()
 GF2 = galois(2)
@@ -254,3 +260,124 @@ def _from_sympy_blocks(parts, eigenvalues):
     return sympy.diag(*[sympy.Matrix(m, m, lambda i, j: lam if i == j
                                      else 1 if j == i + 1 else 0)
                         for m, lam in zip(parts, eigenvalues)])
+
+
+# ---------------------------------------------------------------------------
+# the row-space chain against the defects of the powers
+# ---------------------------------------------------------------------------
+
+def _reference_partition(x):
+    """Cell sizes from the defect n - rank(x^k) of each power x^k, formed
+    in full; NotNilpotent when x^n is nonzero."""
+    n, defects = x.n, []
+    for k in range(1, n + 1):
+        defects.append(n - rank(x.power(k)))
+        if defects[-1] == n:
+            return partition_from_defects(defects)
+    raise NotNilpotent(f"matrix of size {n} with nonzero {n}-th power")
+
+
+def _outcome(partition_of, x):
+    """The partition, or the text of the NotNilpotent raised instead."""
+    try:
+        return partition_of(x)
+    except NotNilpotent as exc:
+        return f"NotNilpotent: {exc}"
+
+
+def _random_scalar(spec, rng, fractional):
+    if spec.is_finite:
+        return spec.element_from_index(rng.randrange(spec.order))
+    return spec.scalar(Fraction(rng.randint(-6, 6),
+                                rng.randint(1, 4) if fractional else 1))
+
+
+def _conjugate(x, rng, fractional):
+    """x conjugated by 3n random elementary matrices I + c*e_ij, i != j,
+    whose inverses are I - c*e_ij; the entries become dense."""
+    spec, n = x.spec, x.n
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = _random_scalar(spec, rng, fractional)
+        e, e_inv = ([[spec.one() if r == s else spec.zero() for s in range(n)]
+                     for r in range(n)] for _ in range(2))
+        e[i][j], e_inv[i][j] = c, -c
+        x = ExactMatrix(spec, e) * x * ExactMatrix(spec, e_inv)
+    return x
+
+
+@pytest.mark.parametrize("spec", [Q, GF2, GF7, GF4, galois(2, 3),
+                                  galois(2, 12)], ids=str)
+def test_partition_chain_matches_power_defects(spec):
+    """The row-space chain gives the partition of the defects of the
+    powers formed in full, and the same NotNilpotent text otherwise:
+    on dense conjugates of Jordan matrices (fractional over Q), on those
+    plus the identity, and on random matrices."""
+    rng = random.Random(4242)
+    for trial in range(24):
+        n = rng.randint(1, 10)
+        parts = _random_partition(n, rng)
+        fractional = trial % 2 == 1
+        x = _conjugate(jordan_matrix(Partition(parts), n, spec), rng,
+                       fractional)
+        assert jordan_partition(x) == _reference_partition(x) == \
+            Partition(parts)
+        shifted = x + ExactMatrix.identity(spec, n)
+        assert _outcome(jordan_partition, shifted) == \
+            _outcome(_reference_partition, shifted) == \
+            f"NotNilpotent: matrix of size {n} with nonzero {n}-th power"
+        y = ExactMatrix(spec, [[_random_scalar(spec, rng, fractional)
+                                for _ in range(n)] for _ in range(n)])
+        assert _outcome(jordan_partition, y) == \
+            _outcome(_reference_partition, y)
+
+
+NEIGHBOR_N26 = [case for case in json.loads(
+    (Path(__file__).parent / "data" / "witness_n26_golden.json").read_text())
+    if case["construction"] == "neighbor"]
+
+
+@pytest.mark.parametrize("case", NEIGHBOR_N26, ids=lambda c: c["field"])
+def test_partition_chain_on_n26_neighbor_combinations(case):
+    """The combinations of the n = 26 neighbor witnesses, over GF(2^12),
+    GF(5^6), GF(3^5) and GF(67): the chain, the defects of the powers and
+    the recorded partition agree."""
+    w = falsify(26, case["char"], QSet(case["q"], 26))
+    combo = w.combination()
+    assert jordan_partition(combo) == _reference_partition(combo) == \
+        w.combo_partition
+
+
+def test_jordan_partition_forms_no_power(monkeypatch):
+    """The chain multiplies echelon basis rows by x in the shared product
+    loop and reduces them: jordan_partition calls neither
+    ExactMatrix.__mul__ nor rank."""
+    calls = []
+    mul = ExactMatrix.__mul__
+
+    def counting_mul(x, y):
+        calls.append("mul")
+        return mul(x, y)
+
+    def counting_rank(x):
+        calls.append("rank")
+        return rank(x)
+    monkeypatch.setattr(ExactMatrix, "__mul__", counting_mul)
+    for module in (matrices, jordan):
+        if hasattr(module, "rank"):
+            monkeypatch.setattr(module, "rank", counting_rank)
+    cases = [
+        (jordan_matrix(Partition([3, 2]), 6, Q), Partition([3, 2, 1])),
+        (jcell(GF7, 7).power(2), Partition([4, 3])),
+        (ExactMatrix.block_diag(GF4, [jcell(GF4, 4)], 5),
+         Partition([4, 1])),
+        (ExactMatrix.zeros(GF2, 3), Partition([1, 1, 1])),
+        (ExactMatrix(Q, []), Partition([])),
+    ]
+    for x, expected in cases:
+        calls.clear()
+        assert jordan_partition(x) == expected
+        assert calls == []
+    with pytest.raises(NotNilpotent):
+        jordan_partition(ExactMatrix.identity(GF7, 3))
+    assert calls == []

@@ -222,6 +222,40 @@ def test_zero_skipping_kernels_match_dense_reference(spec):
                     assert dot.is_zero
 
 
+@pytest.mark.parametrize("spec", [Q, GF7, GF4, galois(2, 3)], ids=str)
+def test_zero_skipping_elementwise_ops_match_dense_reference(spec):
+    """+, -, scale and negation skip zero entries; an entry-by-entry loop
+    over Scalars must give matrices equal as values and as text, at every
+    density, when scaling by zero and for x - x."""
+    rng = random.Random(808)
+
+    def dense(x, y, op):
+        return ExactMatrix(spec, [[op(a, b) for a, b in zip(ra, rb)]
+                                  for ra, rb in zip(x.rows, y.rows)])
+    for tenths in range(11):
+        density = tenths / 10
+        for _ in range(5):
+            n = rng.randint(1, 7)
+            x = ExactMatrix(spec, _sparse_rows(spec, n, n, density, rng))
+            y = ExactMatrix(spec, _sparse_rows(spec, n, n, density, rng))
+            c = (spec.element_from_index(rng.randrange(spec.order))
+                 if spec.is_finite else
+                 spec.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+            zero = spec.zero()
+            cases = [
+                (x + y, dense(x, y, lambda a, b: a + b)),
+                (x - y, dense(x, y, lambda a, b: a - b)),
+                (x - x, dense(x, x, lambda a, b: a - b)),
+                (x.scale(c), dense(x, x, lambda a, _: c * a)),
+                (x.scale(zero), dense(x, x, lambda a, _: zero * a)),
+                (-x, dense(x, x, lambda a, _: -a)),
+            ]
+            for got, want in cases:
+                assert got == want
+                assert str(got) == str(want)
+            assert (x - x).is_zero and x.scale(zero).is_zero
+
+
 @pytest.mark.parametrize("spec", [galois(2, 12), galois(5, 6), galois(3, 2),
                                   galois(7)], ids=str)
 def test_product_with_every_coefficient_maximal(spec):
