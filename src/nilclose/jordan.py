@@ -6,11 +6,13 @@ decomposition over Q and GF(p^k)."""
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 from .errors import (
     InseparableMinimalPolynomial,
+    InternalInconsistency,
     NotNilpotent,
     OutOfRange,
     PartitionTooLarge,
@@ -18,6 +20,8 @@ from .errors import (
 from .field import FieldSpec, Poly
 from .matrices import (ExactMatrix, _echelon, _integer_factors, _product,
                        _rank_bareiss, minimal_polynomial, poly_eval)
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -171,21 +175,32 @@ def jordan_chevalley(x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """Unique decomposition x = s + u with s semisimple, u nilpotent and
     [s, u] = 0, both polynomials in x.
 
-    Newton iteration on the squarefree part f1 of the minimal polynomial:
-    S <- S - f1(S) * g(S) with g the inverse of f1' modulo f1, starting at
-    x; ceil(log2 n) + 1 steps suffice by quadratic convergence.
+    A squarefree minimal polynomial means x is semisimple: (x, 0) returns
+    with no evaluation.  Otherwise Newton iteration on the squarefree part
+    f1 of the minimal polynomial: S <- S - f1(S) * g(S) with g the inverse
+    of f1' modulo f1, starting at x, stopping at the first S with
+    f1(S) = 0, after which every step would return S.  Quadratic
+    convergence reaches it within ceil(log2 n) + 1 corrections; raises
+    InternalInconsistency if it has not.  Logs one debug line.
     """
-    n = x.n
-    f1 = squarefree_part(minimal_polynomial(x))
-    deriv = f1.derivative()
-    gcd_fd, _, g = f1.xgcd(deriv)  # g * f1' = 1 modulo f1
+    n, spec = x.n, x.spec
+    mu = minimal_polynomial(x)
+    f1 = squarefree_part(mu)
+    if f1 == mu:
+        _log.debug("jordan-chevalley n=%d over %s: semisimple", n, spec)
+        return x, ExactMatrix.zeros(spec, n)
+    gcd_fd, _, g = f1.xgcd(f1.derivative())  # g * f1' = 1 modulo f1
     if gcd_fd.degree != 0:
         raise InseparableMinimalPolynomial(
             f"squarefree part {f1} shares a factor with its derivative")
-    steps = max(1, math.ceil(math.log2(n)) + 1) if n > 1 else 1
-    s = x
-    for _ in range(steps):
-        correction = poly_eval(f1, s) * poly_eval(g % f1, s)
-        s = s - correction
-    u = x - s
-    return s, u
+    g = g % f1
+    steps = math.ceil(math.log2(n)) + 1
+    s, k = x, 0
+    while not (fs := poly_eval(f1, s)).is_zero:
+        if k == steps:
+            raise InternalInconsistency(
+                f"f1(S) is nonzero after {steps} Newton corrections")
+        s, k = s - fs * poly_eval(g, s), k + 1
+    _log.debug("jordan-chevalley n=%d over %s: Newton corrections %d",
+               n, spec, k)
+    return s, x - s

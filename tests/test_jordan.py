@@ -3,6 +3,8 @@ closed form for polynomials of a single cell, semisimplicity and the
 semisimple-plus-nilpotent decomposition."""
 
 import json
+import logging
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +14,8 @@ import sympy
 
 from nilclose import jordan, matrices
 from nilclose.criterion import QSet
-from nilclose.errors import NotNilpotent, OutOfRange, PartitionTooLarge
+from nilclose.errors import (InternalInconsistency, NotNilpotent, OutOfRange,
+                             PartitionTooLarge)
 from nilclose.field import Poly, galois, rationals
 from nilclose.jordan import (
     Partition,
@@ -29,6 +32,7 @@ from nilclose.witness import falsify
 
 Q = rationals()
 GF2 = galois(2)
+GF3 = galois(3)
 GF7 = galois(7)
 GF4 = galois(2, 2)
 
@@ -381,3 +385,170 @@ def test_jordan_partition_forms_no_power(monkeypatch):
     with pytest.raises(NotNilpotent):
         jordan_partition(ExactMatrix.identity(GF7, 3))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Jordan-Chevalley: the early exit against the fixed-step Newton loop
+# ---------------------------------------------------------------------------
+
+def _fixed_step_jordan_chevalley(x):
+    """Reference: ceil(log2 n) + 1 Newton steps S <- S - f1(S) * g(S)
+    whatever the input, each one evaluating f1 and g, also once f1(S) = 0
+    and also when x is semisimple."""
+    n = x.n
+    f1 = squarefree_part(minimal_polynomial(x))
+    _, _, g = f1.xgcd(f1.derivative())
+    steps = max(1, math.ceil(math.log2(n)) + 1) if n > 1 else 1
+    s = x
+    for _ in range(steps):
+        s = s - poly_eval(f1, s) * poly_eval(g % f1, s)
+    return s, x - s
+
+
+def _companion(f):
+    """Companion matrix of a monic polynomial: ones below the diagonal and
+    minus the low coefficients in the last column."""
+    spec, d = f.spec, f.degree
+    return ExactMatrix(spec, [[spec.one() if i == j + 1 else
+                               -f.coeffs[i] if j == d - 1 else spec.zero()
+                               for j in range(d)] for i in range(d)])
+
+
+def _repeated_eigenvalue_conjugate(spec, rng, fractional):
+    """P*J*P^-1 for J a block diagonal of Jordan cells, the first of size
+    at least 2, whose eigenvalues come from a set of two."""
+    n, first = rng.randint(2, 6), rng.randint(2, 4)
+    eigenvalues = [_random_scalar(spec, rng, False) for _ in range(2)]
+    cells = [ExactMatrix.jordan_cell(spec, rng.choice(eigenvalues), m)
+             for m in [first] + _random_partition(max(n - first, 0), rng)]
+    return _conjugate(ExactMatrix.block_diag(spec, cells), rng, fractional)
+
+
+def _several_step_inputs():
+    """Non-semisimple inputs whose Newton iteration takes one or more
+    corrections, with a nonlinear squarefree part for the companions."""
+    rng = random.Random(97)
+    t2_1 = Poly.from_ints(Q, [1, 0, 1])
+    t2_t_1 = Poly.from_ints(GF2, [1, 1, 1])
+    c = GF4.element_from_index(2)
+    gf4_cells = [ExactMatrix.jordan_cell(GF4, c, 2),
+                 ExactMatrix.jordan_cell(GF4, c + GF4.one(), 3)]
+    cases = [_companion(t2_1 * t2_1), _companion(t2_1 * t2_1 * t2_1),
+             _companion(t2_t_1 * t2_t_1),
+             _conjugate(ExactMatrix.block_diag(GF4, gf4_cells), rng, False)]
+    for spec, fractional in ((Q, True), (Q, False), (GF7, False),
+                             (GF4, False)):
+        cases += [_repeated_eigenvalue_conjugate(spec, rng, fractional)
+                  for _ in range(4)]
+    return cases
+
+
+def test_jordan_chevalley_matches_fixed_step_loop():
+    """Stopping at the first S with f1(S) = 0, or at once for a
+    semisimple x, gives the (s, u) of the fixed number of steps: on
+    random matrices and on inputs that need Newton corrections."""
+    rng = random.Random(61)
+    cases = []
+    for spec in (Q, GF2, GF3, GF7, GF4):
+        for _ in range(15):
+            n = rng.randint(0, 6)
+            cases.append(ExactMatrix(spec, [
+                [_random_scalar(spec, rng, False) for _ in range(n)]
+                for _ in range(n)]))
+    cases += _several_step_inputs()
+    semisimple = sum(is_semisimple(x) for x in cases)
+    assert 0 < semisimple < len(cases)
+    for x in cases:
+        assert jordan_chevalley(x) == _fixed_step_jordan_chevalley(x)
+
+
+def test_jordan_chevalley_several_steps(monkeypatch):
+    """Each input needs at least one Newton correction, the companion of
+    (t^2+1)^3 and the GF(4) cells of sizes 2 and 3 two, and the GF(2)
+    and GF(4) cases reach the p-th root of a minimal polynomial with
+    vanishing derivative."""
+    evals, roots = [], []
+    pth_root = jordan._pth_root_poly
+
+    def counting_eval(f, s):
+        evals.append(f)
+        return poly_eval(f, s)
+
+    def counting_root(f):
+        roots.append(f)
+        return pth_root(f)
+    monkeypatch.setattr(jordan, "poly_eval", counting_eval)
+    monkeypatch.setattr(jordan, "_pth_root_poly", counting_root)
+    corrections, took_root = [], []
+    for x in _several_step_inputs():
+        evals.clear()
+        roots.clear()
+        s, u = jordan_chevalley(x)
+        assert not u.is_zero and s + u == x
+        assert is_semisimple(s) and s.commutator(u).is_zero
+        corrections.append((len(evals) - 1) // 2)
+        took_root.append(bool(roots))
+    assert corrections[:4] == [1, 2, 1, 2]
+    assert took_root[:4] == [False, False, True, True]
+    assert min(corrections) >= 1
+
+
+def test_jordan_chevalley_evaluates_only_what_it_needs(monkeypatch):
+    """Counted calls of poly_eval: none for a semisimple x, and three for
+    lambda*I + J_n, namely f1(x), g(x), then f1(S_1) = 0."""
+    calls = []
+
+    def counting_eval(f, s):
+        calls.append(f)
+        return poly_eval(f, s)
+    monkeypatch.setattr(jordan, "poly_eval", counting_eval)
+    diagonal = ExactMatrix.from_ints(Q, [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+    rotation = ExactMatrix.from_ints(Q, [[0, 1], [-1, 0]])
+    for x in (diagonal, rotation):
+        assert jordan_chevalley(x) == (x, ExactMatrix.zeros(Q, x.n))
+        assert calls == []
+    f1 = Poly.from_ints(Q, [-3, 1])
+    for n in range(2, 8):
+        calls.clear()
+        x = ExactMatrix.jordan_cell(Q, Q.from_int(3), n)
+        assert jordan_chevalley(x) == (
+            ExactMatrix.identity(Q, n).scale(Q.from_int(3)), jcell(Q, n))
+        assert calls == [f1, Poly.one(Q), f1]
+
+
+def test_jordan_chevalley_guard(monkeypatch):
+    """If f1(S) never vanishes, the loop stops after ceil(log2 n) + 1
+    corrections with InternalInconsistency instead of returning S."""
+    f1_evals = []
+
+    def never_vanishing(f, s):
+        if f.degree >= 1:
+            f1_evals.append(f)
+            return ExactMatrix.identity(s.spec, s.n)
+        return poly_eval(f, s)
+    monkeypatch.setattr(jordan, "poly_eval", never_vanishing)
+    for n, steps in ((2, 2), (4, 3), (5, 4)):
+        f1_evals.clear()
+        with pytest.raises(InternalInconsistency,
+                           match=f"after {steps} Newton corrections"):
+            jordan_chevalley(ExactMatrix.jordan_cell(Q, Q.from_int(3), n))
+        assert len(f1_evals) == steps + 1
+
+
+def test_jordan_chevalley_logs_one_debug_line(caplog, capsys):
+    """One debug line per decomposition on the nilclose.jordan logger,
+    naming n, the field and either "semisimple" or the number of Newton
+    corrections; a default run writes nothing to stderr."""
+    semisimple = ExactMatrix.identity(GF7, 3)
+    cell = ExactMatrix.jordan_cell(Q, Q.from_int(3), 4)
+    jordan_chevalley(cell)
+    assert capsys.readouterr().err == ""
+    assert not [r for r in caplog.records if r.name == "nilclose.jordan"]
+    with caplog.at_level(logging.DEBUG, logger="nilclose"):
+        jordan_chevalley(semisimple)
+        jordan_chevalley(cell)
+    records = [r for r in caplog.records if r.name == "nilclose.jordan"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 2
+    assert [r.getMessage() for r in records] == [
+        "jordan-chevalley n=3 over GF(7): semisimple",
+        "jordan-chevalley n=4 over Q: Newton corrections 1"]
