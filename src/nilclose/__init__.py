@@ -3,7 +3,8 @@ cell sizes, with exact arithmetic over Q and GF(p^k), constructive
 counterexamples and a brute-force verification oracle.
 
 The ``nilclose`` logger is silent unless the application configures it;
-the oracle logs one debug line per closure table it builds."""
+the oracle logs one debug line per closure table it builds and
+``jordan_chevalley`` one per decomposition, on ``nilclose.jordan``."""
 
 import logging
 

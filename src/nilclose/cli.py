@@ -252,7 +252,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="list all accepted q-sets")
     common(p, char=True, n=True)
-    p.add_argument("--bound", type=int, default=20,
+    p.add_argument("--bound", type=_nonnegative_int, default=20,
                    help="refuse n above this bound (default 20)")
     p.set_defaults(handler=_cmd_enumerate)
 

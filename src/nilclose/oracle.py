@@ -69,22 +69,19 @@ _log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 def admissible_partitions(n: int, q: QSet) -> list[Partition]:
-    """Partitions of n with parts in q plus 1-cells and at least one part
+    """Partitions of n with parts in q plus 1-cells and largest part
     >= 2, in descending lexicographic order."""
-    allowed = sorted(q.elements, reverse=True)
+    allowed = [*sorted(q.elements, reverse=True), 1]
     out = []
 
     def recurse(remaining, max_part, acc):
         if remaining == 0:
-            if any(p > 1 for p in acc):
+            if acc and acc[0] > 1:
                 out.append(Partition(acc))
             return
         for part in allowed:
             if part <= max_part and part <= remaining:
                 recurse(remaining - part, part, acc + [part])
-        # trailing 1-cells
-        if acc and any(p > 1 for p in acc):
-            out.append(Partition(acc + [1] * remaining))
 
     recurse(n, n, [])
     return out

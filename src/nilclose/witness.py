@@ -12,7 +12,8 @@ combination leaves it.  Three constructions cover all rejections:
 * gap      -- quotient operators on a (m1 + m + 2 - 2)-dimensional space
               whose difference has a single cell of size m+2.
 
-Every emitted witness is re-verified by direct computation.
+Each construction records the proven Jordan type of its combination, and
+``falsify`` checks every witness by direct computation in ``verify_witness``.
 ``construction_pairs`` lists every neighbor and gap pair that fits (n, q)
 over a given field, built as the witnesses build them; the sampled oracle
 draws its catalog from it.
@@ -41,7 +42,8 @@ from .field import (
     roots_of_unity,
     surrogate_prime,
 )
-from .jordan import Partition, jordan_matrix, jordan_partition
+from .jordan import (Partition, jordan_matrix, jordan_partition,
+                     predicted_poly_partition)
 from .matrices import ExactMatrix, matrix_to_json
 
 
@@ -151,18 +153,17 @@ def _pick_violating(combo_part: Partition, q: QSet | None) -> int:
 
 def witness_power(m: int, k: int, n: int, spec: FieldSpec,
                   q: QSet | None = None) -> Witness:
-    """x a single size-m cell, y = x + x^k (similar to x); the combination
-    y - x = x^k has cells of sizes floor(m/k) and ceil(m/k) only."""
+    """x a single size-m cell, y = x + x^k (similar to x); y - x = x^k has
+    the proven cells ``predicted_poly_partition(m, k)``, not recomputed."""
     if not 2 <= k <= m - 1:
         raise OutOfRange(f"need 2 <= k <= m-1, got k={k}, m={m}")
     if m > n:
         raise OutOfRange(f"cell size {m} exceeds dimension {n}")
     x = jordan_matrix(Partition([m]), n, spec)
-    xk = x.power(k)
-    y = x + xk
+    y = x + x.power(k)
     a = -spec.one()
     b = spec.one()
-    combo_part = jordan_partition(xk)
+    combo_part = Partition([*predicted_poly_partition(m, k), *[1] * (n - m)])
     return Witness("power", spec, x, y, a, b, combo_part,
                    _pick_violating(combo_part, q))
 
@@ -190,9 +191,9 @@ def _neighbor_field(m: int, n: int, char: int):
 
 def witness_neighbor(m: int, n: int, char: int,
                      q: QSet | None = None) -> Witness:
-    """Two commuting matrices with cells (m, m) whose combination has cells
-    (m+1, m-1).  Uses a nonidentity m-th root of unity e0 (so the size-m
-    geometric sum S_m(1, e0) vanishes) and the least t making
+    """Two commuting matrices with cells (m, m) whose combination has the
+    proven cells (m+1, m-1).  Uses a nonidentity m-th root of unity e0 (so
+    the size-m geometric sum S_m(1, e0) vanishes) and the least t making
     S_m(t+1, t+e0) nonzero; unavailable exactly when m is a power of the
     characteristic."""
     if m < 2:
@@ -220,13 +221,9 @@ def witness_neighbor(m: int, n: int, char: int,
         # finite field too small to dodge the bad t values
         spec = galois(spec.char, 2 * spec.degree)
     x, y = _neighbor_pair(m, eps, n, spec)
-    combo = x.scale(t) + y
-    combo_part = jordan_partition(combo)
-    violating = m + 1
-    if q is not None and (m + 1) in q:
-        violating = m - 1
-    return Witness("neighbor", spec, x, y, t, one, combo_part, violating,
-                   note=note)
+    combo_part = Partition([m + 1, m - 1] + [1] * (n - 2 * m))
+    return Witness("neighbor", spec, x, y, t, one, combo_part,
+                   _pick_violating(combo_part, q), note=note)
 
 
 def _gap_pair(m: int, m1: int, n: int, spec: FieldSpec):
@@ -261,19 +258,16 @@ def _gap_pair(m: int, m1: int, n: int, spec: FieldSpec):
 
 def witness_gap(m: int, m1: int, n: int, spec: FieldSpec,
                 q: QSet | None = None) -> Witness:
-    """Commuting x (cells {m, m1}) and y (cells {m1}) whose difference has a
-    single non-unit cell of the otherwise unreachable size m+2."""
+    """Commuting x (cells {m, m1}) and y (cells {m1}) whose difference has
+    the proven single non-unit cell of the otherwise unreachable size m+2."""
     if m < 1 or m1 <= m + 2:
         raise OutOfRange(f"need m >= 1 and m1 > m+2, got m={m}, m1={m1}")
     if m + m1 > n:
         raise OutOfRange(f"need m + m1 <= n, got m={m}, m1={m1}, n={n}")
     x, y = _gap_pair(m, m1, n, spec)
-    a, b = spec.one(), -spec.one()
-    combo_part = jordan_partition(x.scale(a) + y.scale(b))
-    violating = m + 2
-    if q is not None and violating in q:
-        violating = _pick_violating(combo_part, q)
-    return Witness("gap", spec, x, y, a, b, combo_part, violating)
+    combo_part = Partition([m + 2] + [1] * (n - m - 2))
+    return Witness("gap", spec, x, y, spec.one(), -spec.one(), combo_part,
+                   _pick_violating(combo_part, q))
 
 
 def construction_pairs(n: int, spec: FieldSpec, q: QSet):
@@ -296,7 +290,8 @@ def construction_pairs(n: int, spec: FieldSpec, q: QSet):
 # ---------------------------------------------------------------------------
 
 def falsify(n: int, char: int, q: QSet) -> Witness | None:
-    """None when the criterion accepts; otherwise a self-verified witness.
+    """None when the criterion accepts; otherwise a witness that has passed
+    ``verify_witness``.
 
     Rejections are covered in order: a missing size 2 yields a power
     witness; a maximal prefix that is not a characteristic power yields a
@@ -307,31 +302,26 @@ def falsify(n: int, char: int, q: QSet) -> Witness | None:
     if check_criterion(n, char, q).accepted:
         return None
     base = _base_field(char)
-    if 2 not in q:
-        m = min(q)
-        w = witness_power(m, m - 1, n, base, q)
-        verify_witness(w, q)
-        return w
     m0 = 2
     while (m0 + 1) in q:
         m0 += 1
-    if m0 > n // 2:
+    if 2 not in q:
+        w = witness_power(min(q), min(q) - 1, n, base, q)
+    elif m0 > n // 2:
         raise InternalInconsistency(
             f"criterion rejected q={q} despite prefix through {m0}")
-    if not is_char_power(m0, char):
+    elif not is_char_power(m0, char):
         w = witness_neighbor(m0, n, char, q)
-        verify_witness(w, q)
-        return w
-    # the prefix anchor is a characteristic power, so some element escapes
-    # its window [n - m0 + 2, 2*m0]
-    lo, hi = n - m0 + 2, 2 * m0
-    m1 = min(m for m in q if m > m0 and not lo <= m <= hi)
-    if m1 < lo:
-        # below the window: the gap construction manufactures size m0 + 1
-        w = witness_gap(m0 - 1, m1, n, base, q)
     else:
+        # the prefix anchor is a characteristic power, so some element
+        # escapes its window [n - m0 + 2, 2*m0]
+        lo, hi = n - m0 + 2, 2 * m0
+        m1 = min(m for m in q if m > m0 and not lo <= m <= hi)
         half_lo, half_hi = m1 // 2, (m1 + 1) // 2
-        if half_lo not in q or half_hi not in q:
+        if m1 < lo:
+            # below the window: the gap construction manufactures size m0 + 1
+            w = witness_gap(m0 - 1, m1, n, base, q)
+        elif half_lo not in q or half_hi not in q:
             w = witness_power(m1, 2, n, base, q)
         else:
             # both halves admitted; the lower half sits strictly between the

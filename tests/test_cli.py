@@ -243,6 +243,15 @@ def test_negative_dimension_is_usage_error(capsys, argv):
                     "must be non-negative, got -3")
 
 
+def test_negative_bound_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", "3", "--char", "2", "--bound", "-1"])
+    assert exc.value.code == 64
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == ("nilclose enumerate: error: argument --bound: "
+                    "must be non-negative, got -1")
+
+
 def test_domain_error_exit(capsys):
     code, _, err = run(capsys, "criterion", "--n", "4", "--char", "6",
                        "--q", "2")

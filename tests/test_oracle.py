@@ -58,6 +58,36 @@ def test_admissible_partitions_order():
     assert got == [(2, 2, 1), (2, 1, 1, 1)]
 
 
+def _admissible_reference(n, q):
+    """The generator before 1 became an ordinary part: parts in q, then
+    the remainder as trailing 1-cells at each node with a part >= 2."""
+    allowed = sorted(q.elements, reverse=True)
+    out = []
+
+    def recurse(remaining, max_part, acc):
+        if remaining == 0:
+            if any(p > 1 for p in acc):
+                out.append(Partition(acc))
+            return
+        for part in allowed:
+            if part <= max_part and part <= remaining:
+                recurse(remaining - part, part, acc + [part])
+        if acc and any(p > 1 for p in acc):
+            out.append(Partition(acc + [1] * remaining))
+
+    recurse(n, n, [])
+    return out
+
+
+def test_admissible_partitions_match_reference():
+    """Same partitions in the same order as the trailing-1-cell generator,
+    for every q at n <= 12."""
+    for n in range(13):
+        for q in all_qsets(n):
+            assert admissible_partitions(n, q) == \
+                _admissible_reference(n, q), (n, str(q))
+
+
 def test_centralizer_dimension_closed_form():
     assert centralizer_dimension(Partition([3])) == 3
     assert centralizer_dimension(Partition([2, 1])) == 5

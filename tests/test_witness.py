@@ -1,13 +1,15 @@
 """Counterexample constructions and the falsification decision tree."""
 
+import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from nilclose import witness
-from nilclose.criterion import QSet, check_criterion, all_qsets
+from nilclose.criterion import QSet, all_qsets, check_criterion, is_char_power
 from nilclose.errors import (
     DimensionTooSmall,
     InternalInconsistency,
@@ -31,6 +33,8 @@ from nilclose.witness import (
 Q = rationals()
 GF2 = galois(2)
 GF3 = galois(3)
+GF4 = galois(2, 2)
+GF5 = galois(5)
 GF7 = galois(7)
 GF9 = galois(3, 2)
 
@@ -203,6 +207,82 @@ def test_verify_witness_rejects_tampering():
                       good.violating_size)
     with pytest.raises(InternalInconsistency):
         verify_witness(swapped, qs([2, 4], 4))
+
+
+def _all_constructions(max_n):
+    """Every power and gap witness over Q, GF(2), GF(3), GF(5) and GF(4),
+    and every neighbor witness in chars 0, 2, 3, 5 and 7, with n <= max_n."""
+    for n in range(2, max_n + 1):
+        for spec in (Q, GF2, GF3, GF5, GF4):
+            for m in range(3, n + 1):
+                for k in range(2, m):
+                    yield witness_power(m, k, n, spec)
+            for m in range(1, n):
+                for m1 in range(m + 3, n - m + 1):
+                    yield witness_gap(m, m1, n, spec)
+        for char in (0, 2, 3, 5, 7):
+            for m in range(2, n // 2 + 1):
+                if char == 0 or not is_char_power(m, char):
+                    yield witness_neighbor(m, n, char)
+
+
+def test_recorded_partitions_match_direct_computation():
+    """The Jordan types the constructions record from the paper's closed
+    forms equal a direct computation for every parameter with n <= 10."""
+    seen = set()
+    for w in _all_constructions(10):
+        seen.add(w.construction)
+        assert w.combo_partition == jordan_partition(w.combination()), w
+    assert seen == {"power", "neighbor", "gap"}
+
+
+@pytest.mark.parametrize("n, char, q", [
+    (4, 0, [4]), (4, 0, [2, 4]), (7, 2, [2, 5])],
+    ids=["power", "neighbor", "gap"])
+def test_verify_witness_checks_the_recorded_partition(n, char, q):
+    """Changing one part of a recorded type is caught by the direct
+    computation in verify_witness."""
+    good = falsify(n, char, qs(q, n))
+    parts = list(good.combo_partition.parts)
+    parts[0] += 1
+    bad = dataclasses.replace(good, combo_partition=Partition(parts))
+    with pytest.raises(InternalInconsistency, match="combination partition"):
+        verify_witness(bad, qs(q, n))
+
+
+def _count_jordan_partition(monkeypatch):
+    """Route every nilclose binding of jordan_partition through a counter;
+    return the list that collects one entry per call."""
+    calls = []
+    original = jordan_partition
+
+    def counted(x):
+        calls.append(x.n)
+        return original(x)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("nilclose.")
+                and getattr(module, "jordan_partition", None) is original):
+            monkeypatch.setattr(module, "jordan_partition", counted)
+    return calls
+
+
+def test_jordan_partition_calls(monkeypatch):
+    """The constructions compute no Jordan type; falsify computes three
+    per rejected q (x, y and the combination, all in verify_witness)."""
+    calls = _count_jordan_partition(monkeypatch)
+    assert sum(1 for _ in _all_constructions(8)) > 0
+    assert calls == []
+    rejected = 0
+    for n in range(2, 9):
+        for char in (0, 2, 3):
+            for q in all_qsets(n):
+                before = len(calls)
+                w = falsify(n, char, q)
+                rejected += w is not None
+                assert len(calls) - before == (0 if w is None else 3), \
+                    (n, char, str(q))
+    assert rejected > 0
 
 
 def test_witness_serialization():
