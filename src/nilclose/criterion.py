@@ -114,8 +114,12 @@ def is_char_power(m: int, char: int) -> bool:
 
 
 def _validate_char(char: int) -> None:
-    if char != 0 and not is_prime(char):
-        raise NonPrimeChar(f"characteristic {char} is neither 0 nor prime")
+    try:
+        if char == 0 or is_prime(char):
+            return
+    except ValueError as exc:
+        raise NonPrimeChar(f"characteristic {exc}") from exc
+    raise NonPrimeChar(f"characteristic {char} is neither 0 nor prime")
 
 
 def anchor_candidates(n: int, char: int) -> list[tuple[int, str]]:

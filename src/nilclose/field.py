@@ -6,7 +6,8 @@ and coefficient tuples reduced modulo p and the irreducible modulus over
 GF(p^k).  ``Scalar`` is a thin immutable facade that pairs a raw value
 with its field and delegates every operation to the ops object; matrices
 store raw values and their kernels call the ops object directly.  The
-default extension modulus is the least irreducible by Rabin's test.
+default extension modulus is the least irreducible by Rabin's test, and
+primality is a Miller-Rabin test that is exact below PRIMALITY_LIMIT.
 The module also provides the roots-of-unity search, the extension-degree
 computation needed to realize those roots, and the geometric sums that
 control the block constructions in the witness module.
@@ -19,7 +20,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, zip_longest
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import (
     DivisionByZero,
@@ -29,8 +30,38 @@ from .errors import (
 )
 
 
+# The least strong pseudoprime to all of the first 13 prime bases, 2..41
+# (J. Sorenson and J. Webster, Math. Comp. 86 (2017)): below it the
+# Miller-Rabin test over those bases is exact.
+PRIMALITY_LIMIT = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Deterministic Miller-Rabin over the prime bases 2..41; raises
+    ValueError for n >= PRIMALITY_LIMIT, where those bases no longer
+    suffice."""
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"{n} is too large: primality is decided only "
+                         f"below {PRIMALITY_LIMIT}")
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = 2^s * d, d odd
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def _defect_chain(x: ExactMatrix):
     defects, dim = [], n
     while dim:
         if spec.char == 0:
-            rows = _product(rows[:dim], lambda i, v: v, right, 0)
+            rows = _product(rows[:dim], None, right, 0)
             rows = [[a // g for a in row] if (g := math.gcd(*row)) > 1
                     else row for row in rows]
             r = _rank_bareiss(rows)

@@ -9,15 +9,20 @@ at the public boundary, ``ExactMatrix(spec, rows)`` and ``rows``.
 Products run one zero-skipping loop, ``_product``, for every field: any
 number of left rows times a square right factor, both lifted to Python
 ints.  Over Q row i of the left rows is scaled to its common denominator
-d_i and the right factor to one denominator D; over GF(p) an entry is its
+d_i and the right factor to one denominator D (the integer image D*x is
+kept on the matrix after its first use); over GF(p) an entry is its
 residue; over GF(p^k) its coefficients are packed into one int (Kronecker
-substitution).  Each nonzero sum is reduced once.  ``*`` and the row-space
-chain behind Jordan partitions share the loop; ``+``, ``-`` and ``scale``
-skip zero entries as well.  Elimination is one routine, ``_echelon``, with
-first-nonzero pivoting: run forward it gives the rank over finite fields;
-run in full it gives the kernels behind centralizer bases and minimal
-polynomials.  Rank over Q uses fraction-free (Bareiss) elimination on
-integer rows.  Skipping zeros is exact, so no result depends on it.
+substitution).  Each nonzero sum is reduced once.  ``*``, the row-space
+chain behind Jordan partitions and, over Q, polynomial evaluation and the
+powers behind minimal polynomials share the loop; ``+``, ``-`` and
+``scale`` skip zero entries as well.  Elimination on raw values is one
+routine, ``_echelon``, with first-nonzero pivoting: run forward it gives
+the rank over finite fields; run in full it gives the kernels behind
+centralizer bases and, over finite fields, minimal polynomials.  Over Q,
+rank and minimal polynomials use fraction-free (Bareiss) elimination on
+integer rows, and polynomial evaluation runs Horner on integers, so
+Fractions are formed only for the results.  Skipping zeros is exact, so
+no result depends on it.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ from .field import FieldSpec, Poly, Scalar, parse_field
 
 class ExactMatrix:
     """Immutable square matrix over a FieldSpec; ``rows`` boxes the raw
-    entries as Scalars on first access and caches them."""
+    entries as Scalars on first access and caches them, and over Q the
+    integer image of _integer_image is cached the same way."""
 
-    __slots__ = ("spec", "n", "_vals", "_rows")
+    __slots__ = ("spec", "n", "_vals", "_rows", "_image")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -47,6 +53,7 @@ class ExactMatrix:
                 if x.spec is not spec and x.spec != spec:
                     raise FieldMismatch("entry from a different field")
         for name, value in (("spec", spec), ("n", n), ("_rows", rows),
+                            ("_image", None),
                             ("_vals", tuple(tuple(x.val for x in r)
                                             for r in rows))):
             object.__setattr__(self, name, value)
@@ -60,6 +67,7 @@ class ExactMatrix:
         without the checks."""
         self = object.__new__(cls)
         for name, value in (("spec", spec), ("n", len(vals)), ("_rows", None),
+                            ("_image", None),
                             ("_vals", tuple(map(tuple, vals)))):
             object.__setattr__(self, name, value)
         return self
@@ -204,6 +212,22 @@ def _numerators(row, d: int) -> list[int]:
     return [a.numerator * (d // a.denominator) for a in row]
 
 
+def _integer_image(x: ExactMatrix):
+    """(D, the rows of D*x as (column, entry) lists over their nonzeros)
+    for the least common denominator D of the entries of x over Q; made
+    on first use and kept on x."""
+    if x._image is None:
+        big = lcm(*map(_denominator, x._vals))
+        object.__setattr__(x, "_image", (big, _sparse(
+            [_numerators(r, big) for r in x._vals])))
+    return x._image
+
+
+def _sparse(rows) -> list[list[tuple]]:
+    """Each row as the (column, entry) list of its nonzeros."""
+    return [[(j, b) for j, b in enumerate(row) if b] for row in rows]
+
+
 def _integer_factors(y: ExactMatrix):
     """The rows of an integer image of y as (column, entry) lists over
     their nonzeros, and lift(left) -> (rows, value) for raw rows left of
@@ -212,14 +236,14 @@ def _integer_factors(y: ExactMatrix):
     n, p, k = y.n, y.spec.char, y.spec.degree
     if p == 0:
         # row i of left over its common denominator d_i, all of y over D
-        big = lcm(*map(_denominator, y._vals))
-        right = [_numerators(r, big) for r in y._vals]
+        big, sparse = _integer_image(y)
 
         def lift(left):
             dens = [_denominator(r) for r in left]
             return ([_numerators(r, d) for r, d in zip(left, dens)],
                     lambda i, v: Fraction(v, dens[i] * big))
-    elif k == 1:
+        return sparse, lift
+    if k == 1:
         right, lift = y._vals, lambda left: (left, lambda i, v: v % p)
     else:
         # GF(p^k): coefficient t in bits [t*w, (t+1)*w).  A slot of a sum
@@ -241,14 +265,15 @@ def _integer_factors(y: ExactMatrix):
 
         def lift(left):
             return [list(map(pack, r)) for r in left], lambda i, v: unpack(v)
-    return [[(j, b) for j, b in enumerate(row) if b] for row in right], lift
+    return _sparse(right), lift
 
 
 def _product(left, value, right, zero) -> list[list]:
     """Rows of left times right over the integers: left is any number of
     rows of width n and right the n sparse rows of _integer_factors.  Row
     i sums a_ik times row k of right, over the nonzero a_ik and row k's
-    nonzeros; a nonzero sum v becomes value(i, v), a zero sum ``zero``."""
+    nonzeros; a nonzero sum v becomes value(i, v), a zero sum ``zero``.
+    With value None the integer sums are returned as they are."""
     out = []
     for i, row_i in enumerate(left):
         acc = [0] * len(right)
@@ -256,7 +281,8 @@ def _product(left, value, right, zero) -> list[list]:
             if a and sparse_k:
                 for j, b in sparse_k:
                     acc[j] += a * b
-        out.append([value(i, v) if v else zero for v in acc])
+        out.append(acc if value is None
+                   else [value(i, v) if v else zero for v in acc])
     return out
 
 
@@ -351,14 +377,36 @@ def _kernel(m: list[list], ops, ncols: int) -> list[list]:
 
 def poly_eval(f: Poly, x: ExactMatrix) -> ExactMatrix:
     """Horner evaluation of f at a matrix argument, from the leading
-    coefficient down; adding a coefficient changes only the diagonal."""
+    coefficient down; adding a coefficient changes only the diagonal.
+
+    Over Q Horner runs on integers.  With X = D*x the integer image of x
+    and C_i = E*c_i the coefficients of f = sum c_i t^i (degree d) over
+    their common denominator E, E*D^d*f(x) = sum C_i*D^(d-i)*X^i; each
+    entry is divided by E*D^d once at the end."""
     if f.spec != x.spec:
         raise FieldMismatch("polynomial over a different field")
-    spec = x.spec
+    n, spec = x.n, x.spec
     if f.is_zero:
-        return ExactMatrix.zeros(spec, x.n)
+        return ExactMatrix.zeros(spec, n)
+    if spec.char == 0:
+        coeffs = [c.val for c in f.coeffs]
+        den = _denominator(coeffs)
+        *lower, lead = _numerators(coeffs, den)
+        big, right = _integer_image(x)
+        acc = [[lead if i == j else 0 for j in range(n)] for i in range(n)]
+        scale = 1                                   # D^(d-i) at step i
+        for c in reversed(lower):
+            acc = _product(acc, None, right, 0)
+            scale *= big
+            if c:
+                for i, row in enumerate(acc):
+                    row[i] += c * scale
+        den *= scale
+        zero = spec.ops.zero
+        return ExactMatrix._of(spec, [[Fraction(v, den) if v else zero
+                                       for v in row] for row in acc])
     add = spec.ops.add
-    acc = ExactMatrix.identity(spec, x.n).scale(f.coeffs[-1])
+    acc = ExactMatrix.identity(spec, n).scale(f.coeffs[-1])
     for c in reversed(f.coeffs[:-1]):
         acc = acc * x
         if not c.is_zero:
@@ -396,10 +444,41 @@ def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
 
 def minimal_polynomial(x: ExactMatrix) -> Poly:
     """Monic least-degree annihilator, the first linear dependency among
-    the vectorized powers I, x, ..., x^n (the empty matrix has 1): the
-    kernel vector of the first free column d is monic of degree d, as the
-    rows of later pivots are zero in column d."""
+    the vectorized powers I, x, ..., x^n (the empty matrix has 1).
+
+    Over Q the powers of the integer image X = D*x enter one at a time,
+    each as the row [vec(X^d) | e_d] whose tail records its combination
+    of I, X, ..., X^d, and are reduced fraction-free (Bareiss) against the
+    pivot rows of the earlier ones.  The first power whose vec part
+    reduces to zero gives sum a_i X^i = 0, so the minimal polynomial is
+    sum a_i D^i t^i / (a_d D^d).  Over a finite field one elimination of
+    the system of all powers gives it: the kernel vector of the first free
+    column d is monic of degree d, as the rows of later pivots are zero in
+    column d."""
     n, spec = x.n, x.spec
+    if spec.char == 0:
+        nn = n * n
+        big, right = _integer_image(x)
+        power = [[int(i == j) for j in range(n)] for i in range(n)]
+        pivots = []                     # (column, row) in Bareiss form
+        for d in range(n + 1):
+            row = [a for r in power for a in r] + [0] * (n + 1)
+            row[nn + d] = 1
+            prev = 1
+            for col, pivot_row in pivots:
+                f, pv = row[col], pivot_row[col]
+                row = ([(pv * a - f * b) // prev
+                        for a, b in zip(row, pivot_row)] if f
+                       else [pv * a // prev for a in row])
+                prev = pv
+            col = next((j for j in range(nn) if row[j]), None)
+            if col is None:
+                comb = row[nn:]
+                return Poly(spec, (spec.box(Fraction(comb[i],
+                                                     comb[d] * big ** (d - i)))
+                                   for i in range(d + 1)))
+            pivots.append((col, row))       # d < n by Cayley-Hamilton
+            power = _product(power, None, right, 0)
     powers = [ExactMatrix.identity(spec, n)]
     for _ in range(n):
         powers.append(powers[-1] * x)

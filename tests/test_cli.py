@@ -6,7 +6,7 @@ import pytest
 
 from nilclose import oracle
 from nilclose.cli import main
-from nilclose.field import rationals
+from nilclose.field import PRIMALITY_LIMIT, rationals
 from nilclose.matrices import ExactMatrix, matrix_from_json, matrix_to_json
 
 
@@ -259,6 +259,29 @@ def test_domain_error_exit(capsys):
     code, _, err = run(capsys, "witness", "--n", "4", "--char", "0",
                        "--q", "7")
     assert code == 1 and "InvalidQ" in err
+
+
+def test_large_prime_characteristic_answers_at_once(capsys):
+    code, out, _ = run(capsys, "criterion", "--n", "4", "--char",
+                       str(2 ** 61 - 1), "--q", "2")
+    assert code == 0 and out.splitlines()[0] == "reject"
+    code, _, err = run(capsys, "verify", "--n", "2", "--field",
+                       f"GF({2 ** 61 - 1})", "--q", "2")
+    assert code == 3 and err.startswith("BudgetExceeded: ")
+
+
+@pytest.mark.parametrize("p", [PRIMALITY_LIMIT, 2 ** 89 - 1])
+def test_characteristic_past_the_primality_limit_is_refused(capsys, p):
+    code, out, err = run(capsys, "criterion", "--n", "4", "--char", str(p),
+                         "--q", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("NonPrimeChar: ") and str(PRIMALITY_LIMIT) in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", "--field", f"GF({p})", "--q", "2"])
+    assert exc.value.code == 64
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("nilclose verify: error: argument --field: ")
+    assert str(PRIMALITY_LIMIT) in last
 
 
 def test_help_lists_subcommands(capsys):

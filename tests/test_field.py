@@ -3,7 +3,8 @@ geometric sums and the text encodings."""
 
 import random
 from fractions import Fraction
-from math import gcd
+import time
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -16,6 +17,7 @@ from nilclose.errors import (
 )
 from nilclose.field import (
     FieldSpec,
+    PRIMALITY_LIMIT,
     Poly,
     _gfp_irreducible,
     default_modulus,
@@ -221,6 +223,39 @@ def test_surrogate_prime():
     assert surrogate_prime(6, 3) == 7
     p = surrogate_prime(4, 3)
     assert p > 4 and (p - 1) % 3 == 0
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 10 ** 5):
+        assert is_prime(n) == (
+            n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))), n
+
+
+def test_is_prime_decides_large_numbers_at_once():
+    start = time.perf_counter()
+    assert is_prime(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1
+    assert is_prime(sympy.prevprime(PRIMALITY_LIMIT))
+    assert not is_prime(PRIMALITY_LIMIT - 1)
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                     # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,            # ... to the first 9 prime bases
+    318665857834031151167461,       # ... to the first 12 prime bases
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [PRIMALITY_LIMIT, 2 ** 89 - 1])
+def test_is_prime_refuses_numbers_past_the_limit(n):
+    """psi_13 itself passes all 13 bases; 2^89 - 1 is prime but past it."""
+    with pytest.raises(ValueError, match=str(PRIMALITY_LIMIT)):
+        is_prime(n)
+    with pytest.raises(ValueError, match=str(PRIMALITY_LIMIT)):
+        galois(n)
 
 
 def test_default_modulus_is_irreducible_and_least():

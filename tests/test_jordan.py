@@ -266,6 +266,33 @@ def _from_sympy_blocks(parts, eigenvalues):
                         for m, lam in zip(parts, eigenvalues)])
 
 
+def test_minimal_polynomial_and_poly_eval_match_sympy():
+    """For x = P*J*P^-1 with integer eigenvalues the minimal polynomial is
+    the product of (t - lambda)^(largest cell of lambda), and f(x) is
+    sympy's sum of c_i x^i, for f with fractional coefficients."""
+    rng = random.Random(37)
+    t = sympy.Symbol("t")
+    for _ in range(15):
+        n = rng.randint(1, 6)
+        parts = _random_partition(n, rng)
+        eigenvalues = [rng.randint(-2, 2) for _ in parts]
+        p = _unimodular(n, rng)
+        x = p * _from_sympy_blocks(parts, eigenvalues) * p.inv()
+        largest = {}
+        for m, lam in zip(parts, eigenvalues):
+            largest[lam] = max(m, largest.get(lam, 0))
+        mu = sympy.Poly(sympy.prod((t - lam) ** m
+                                   for lam, m in largest.items()), t)
+        assert minimal_polynomial(_from_sympy(x)) == Poly.from_ints(
+            Q, [int(c) for c in reversed(mu.all_coeffs())])
+        coeffs = [sympy.Rational(rng.randint(-4, 4), rng.randint(1, 6))
+                  for _ in range(rng.randint(1, 6))]
+        f = Poly(Q, [Q.scalar(Fraction(int(c.p), int(c.q))) for c in coeffs])
+        expected = sum((c * x ** i for i, c in enumerate(coeffs)),
+                       sympy.zeros(n, n))
+        assert poly_eval(f, _from_sympy(x)) == _from_sympy(expected)
+
+
 # ---------------------------------------------------------------------------
 # the row-space chain against the defects of the powers
 # ---------------------------------------------------------------------------

@@ -337,9 +337,8 @@ def test_empty_matrix():
         assert jordan_chevalley(x) == (x, x)
 
 
-def test_minimal_polynomial_runs_one_kernel(monkeypatch):
-    """One elimination of the system of all powers I, x, ..., x^n gives
-    the minimal polynomial, whatever its degree."""
+def _counting_kernel(monkeypatch):
+    """Patch matrices._kernel to record its calls; return the record."""
     calls = []
     kernel = matrices._kernel
 
@@ -347,17 +346,35 @@ def test_minimal_polynomial_runs_one_kernel(monkeypatch):
         calls.append(1)
         return kernel(*args)
     monkeypatch.setattr(matrices, "_kernel", counting_kernel)
+    return calls
+
+
+def test_minimal_polynomial_runs_one_kernel(monkeypatch):
+    """Over a finite field one elimination of the system of all powers
+    I, x, ..., x^n gives the minimal polynomial, whatever its degree."""
+    calls = _counting_kernel(monkeypatch)
     cases = [
-        (ExactMatrix(Q, []), Poly.one(Q)),
         (ExactMatrix.identity(GF7, 4), Poly.from_ints(GF7, [-1, 1])),
         (jcell(GF4, 3), Poly.from_ints(GF4, [0, 0, 0, 1])),
-        (ExactMatrix.from_ints(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
-         Poly.from_ints(Q, [2, -3, 1])),
     ]
     for x, expected in cases:
         calls.clear()
         assert minimal_polynomial(x) == expected
         assert len(calls) == 1
+
+
+def test_minimal_polynomial_over_q_runs_no_kernel(monkeypatch):
+    """Over Q the powers are reduced on integers as they come, with no
+    kernel of a Fraction system."""
+    calls = _counting_kernel(monkeypatch)
+    cases = [
+        (ExactMatrix(Q, []), Poly.one(Q)),
+        (ExactMatrix.from_ints(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+         Poly.from_ints(Q, [2, -3, 1])),
+    ]
+    for x, expected in cases:
+        assert minimal_polynomial(x) == expected
+    assert calls == []
 
 
 def test_minimal_polynomial_annihilates():
@@ -413,6 +430,78 @@ def test_json_round_trip_and_rank_bounds(pair):
     rx, ry = rank(x), rank(y)
     assert rank(x * y) <= min(rx, ry)
     assert rank(x + y) <= rx + ry
+
+
+def _reference_minimal_polynomial(x):
+    """The kernel vector of the first free column of the system of all
+    powers I, x, ..., x^n, formed with ``*``: the finite-field method,
+    here on Fractions over Q."""
+    n, spec = x.n, x.spec
+    powers = [ExactMatrix.identity(spec, n)]
+    for _ in range(n):
+        powers.append(powers[-1] * x)
+    vecs = [[e for row in power._vals for e in row] for power in powers]
+    kernel = _kernel([list(col) for col in zip(*vecs)], spec.ops, n + 1)
+    return Poly(spec, map(spec.box, kernel[0]))
+
+
+def _reference_poly_eval(f, x):
+    """Horner with ``*``, adding each coefficient times the identity."""
+    one = ExactMatrix.identity(x.spec, x.n)
+    acc = ExactMatrix.zeros(x.spec, x.n)
+    for c in reversed(f.coeffs):
+        acc = acc * x + one.scale(c)
+    return acc
+
+
+_FRACTION = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _rational_matrix(draw):
+    """An n x n matrix over Q with fractional entries, n <= 6: sparse,
+    or the direct sum of a matrix with itself plus a scalar, whose
+    minimal polynomial has degree below n."""
+    entry = st.one_of(st.just(Fraction(0)), _FRACTION)
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 6))
+        return ExactMatrix(Q, [[Q.scalar(draw(entry)) for _ in range(n)]
+                               for _ in range(n)])
+    m = draw(st.integers(1, 3))
+    a = ExactMatrix(Q, [[Q.scalar(draw(entry)) for _ in range(m)]
+                        for _ in range(m)])
+    return (ExactMatrix.block_diag(Q, [a, a])
+            + ExactMatrix.identity(Q, 2 * m).scale(Q.scalar(draw(_FRACTION))))
+
+
+@st.composite
+def _rational_poly(draw):
+    """A polynomial over Q of degree <= 6 with fractional coefficients,
+    often with zero low-order terms."""
+    low = draw(st.integers(0, 3))
+    coeffs = draw(st.lists(_FRACTION, max_size=7 - low))
+    return Poly(Q, map(Q.scalar, [0] * low + coeffs))
+
+
+def _assert_identical_matrices(a, b):
+    assert a == b and a._vals == b._vals
+    assert all(type(v) is Fraction for row in a._vals for v in row)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rational_matrix())
+def test_minimal_polynomial_over_q_matches_reference(x):
+    f = minimal_polynomial(x)
+    expected = _reference_minimal_polynomial(x)
+    assert f == expected and str(f) == str(expected)
+    assert all(type(c.val) is Fraction for c in f.coeffs)
+    assert poly_eval(f, x).is_zero
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rational_poly(), _rational_matrix())
+def test_poly_eval_over_q_matches_reference(f, x):
+    _assert_identical_matrices(poly_eval(f, x), _reference_poly_eval(f, x))
 
 
 def test_json_file_round_trip(tmp_path):
