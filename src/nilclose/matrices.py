@@ -9,8 +9,7 @@ at the public boundary, ``ExactMatrix(spec, rows)`` and ``rows``.
 Products run one zero-skipping loop, ``_product``, for every field: any
 number of left rows times a square right factor, both lifted to Python
 ints.  Over Q row i of the left rows is scaled to its common denominator
-d_i and the right factor to one denominator D (the integer image D*x is
-kept on the matrix after its first use); over GF(p) an entry is its
+d_i and the right factor to one denominator D; over GF(p) an entry is its
 residue; over GF(p^k) its coefficients are packed into one int (Kronecker
 substitution).  Each nonzero sum is reduced once.  ``*``, the row-space
 chain behind Jordan partitions and, over Q, polynomial evaluation and the
@@ -38,10 +37,9 @@ from .field import FieldSpec, Poly, Scalar, parse_field
 
 class ExactMatrix:
     """Immutable square matrix over a FieldSpec; ``rows`` boxes the raw
-    entries as Scalars on first access and caches them, and over Q the
-    integer image of _integer_image is cached the same way."""
+    entries as Scalars on first access and caches them."""
 
-    __slots__ = ("spec", "n", "_vals", "_rows", "_image")
+    __slots__ = ("spec", "n", "_vals", "_rows")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -53,7 +51,6 @@ class ExactMatrix:
                 if x.spec is not spec and x.spec != spec:
                     raise FieldMismatch("entry from a different field")
         for name, value in (("spec", spec), ("n", n), ("_rows", rows),
-                            ("_image", None),
                             ("_vals", tuple(tuple(x.val for x in r)
                                             for r in rows))):
             object.__setattr__(self, name, value)
@@ -67,7 +64,6 @@ class ExactMatrix:
         without the checks."""
         self = object.__new__(cls)
         for name, value in (("spec", spec), ("n", len(vals)), ("_rows", None),
-                            ("_image", None),
                             ("_vals", tuple(map(tuple, vals)))):
             object.__setattr__(self, name, value)
         return self
@@ -214,13 +210,9 @@ def _numerators(row, d: int) -> list[int]:
 
 def _integer_image(x: ExactMatrix):
     """(D, the rows of D*x as (column, entry) lists over their nonzeros)
-    for the least common denominator D of the entries of x over Q; made
-    on first use and kept on x."""
-    if x._image is None:
-        big = lcm(*map(_denominator, x._vals))
-        object.__setattr__(x, "_image", (big, _sparse(
-            [_numerators(r, big) for r in x._vals])))
-    return x._image
+    for the least common denominator D of the entries of x over Q."""
+    big = lcm(*map(_denominator, x._vals))
+    return big, _sparse([_numerators(r, big) for r in x._vals])
 
 
 def _sparse(rows) -> list[list[tuple]]:
