@@ -5,9 +5,11 @@ values: reduced ``Fraction``s over Q, residues ``0 <= a < p`` over GF(p),
 and coefficient tuples reduced modulo p and the irreducible modulus over
 GF(p^k).  ``Scalar`` is a thin immutable facade that pairs a raw value
 with its field and delegates every operation to the ops object; matrices
-store raw values and their kernels call the ops object directly.  The
-default extension modulus is the least irreducible by Rabin's test, and
-primality is a Miller-Rabin test that is exact below PRIMALITY_LIMIT.
+store raw values and their kernels call the ops object directly.  Each
+ops object has one ``pow``; GF(p^k) inverses are Fermat's a^(p^k - 2),
+cached per field, as GF(p) ones are a^(p - 2).  The default extension
+modulus is the least irreducible by Rabin's test, and primality is a
+Miller-Rabin test that is exact below PRIMALITY_LIMIT.
 The module also provides the roots-of-unity search, the extension-degree
 computation needed to realize those roots, and the geometric sums that
 control the block constructions in the witness module.
@@ -68,29 +70,6 @@ def is_prime(n: int) -> bool:
 # polynomials over GF(p) as int tuples, lowest degree first
 # ---------------------------------------------------------------------------
 
-def _gfp_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _gfp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, dlead = len(b) - 1, b[-1]
-    inv_lead = pow(dlead, p - 2, p)
-    quo = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        coef = (a[i] * inv_lead) % p
-        if coef:
-            quo[i - db] = coef
-            for j, bj in enumerate(b):
-                a[i - db + j] = (a[i - db + j] - coef * bj) % p
-    return _gfp_trim(quo), _gfp_trim(a)
-
-
 def _digits(v: int, p: int, k: int) -> list[int]:
     """The k base-p digits of v, lowest first."""
     return [v // p ** i % p for i in range(k)]
@@ -100,7 +79,7 @@ def _gfp_irreducible(f, p) -> bool:
     """Rabin's test for a monic f of degree k over GF(p): f is irreducible
     iff t^(p^k) = t mod f and gcd(t^(p^(k/r)) - t, f) = 1 for every prime
     r dividing k.  Powers of t are taken in GF(p)[t]/(f) through
-    ``_ExtensionOps``, whose reduction needs f monic only."""
+    ``_ExtensionOps``, whose reduction and powering need f monic only."""
     k = len(f) - 1
     if k < 1:
         return False
@@ -108,12 +87,7 @@ def _gfp_irreducible(f, p) -> bool:
     t = ops.fold([0, 1] + [0] * (k - 1))
     frobenius = [t]                     # t^(p^j) mod f for j = 0..k
     for _ in range(k):
-        power = ops.one
-        for bit in bin(p)[2:]:          # square and multiply, high bit first
-            power = ops.mul(power, power)
-            if bit == "1":
-                power = ops.mul(power, frobenius[-1])
-        frobenius.append(power)
+        frobenius.append(ops.pow(frobenius[-1], p))
     gfp = FieldSpec(p)
     return frobenius[k] == t and all(
         Poly.from_ints(gfp, f).gcd(
@@ -145,6 +119,7 @@ class _RationalOps:
     mul = staticmethod(operator.mul)
     is_zero = staticmethod(operator.not_)
     inv = staticmethod(lambda a: 1 / a)
+    pow = staticmethod(operator.pow)
     submul = staticmethod(lambda a, f, b: a - f * b)   # the elimination step
 
 
@@ -161,6 +136,7 @@ class _PrimeOps:
         self.neg = lambda a: -a % p
         self.mul = lambda a, b: a * b % p
         self.inv = lambda a: pow(a, p - 2, p)
+        self.pow = lambda a, e: pow(a, e, p)
         self.submul = lambda a, f, b: (a - f * b) % p
 
     def from_coeffs(self, coeffs):
@@ -176,11 +152,12 @@ class _ExtensionOps:
     degree first, reduced modulo p and the monic irreducible modulus."""
 
     def __init__(self, p: int, modulus):
-        self.p, self.k, self.modulus = p, len(modulus) - 1, modulus
+        self.p, self.k = p, len(modulus) - 1
         self.zero = (0,) * self.k
         self.one = (1,) + (0,) * (self.k - 1)
         # x^k = -(lower terms of the modulus); only its nonzero terms fold
         self._tail = [(j, c) for j, c in enumerate(modulus[:-1]) if c]
+        self._inverses = {}
 
     def add(self, a, b):
         p = self.p
@@ -226,20 +203,24 @@ class _ExtensionOps:
     def is_zero(a):
         return not any(a)
 
+    def pow(self, a, e):
+        """a^e for e >= 0, by square-and-multiply from the high bit."""
+        if not e:
+            return self.one
+        power = a
+        for bit in bin(e)[3:]:
+            power = self.mul(power, power)
+            if bit == "1":
+                power = self.mul(power, a)
+        return power
+
     def inv(self, a):
-        """Extended Euclid over GF(p)[x] against the modulus."""
-        p = self.p
-        r0, r1 = self.modulus, _gfp_trim(a)
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _gfp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            acc = list(s0) + [0] * (len(q) + len(s1) - 1 - len(s0))
-            s0, s1 = s1, _gfp_trim([c % p for c in
-                                    self._convolve(acc, q, s1, -1)])
-        # r0 is a nonzero constant gcd
-        c_inv = pow(r0[0], p - 2, p)
-        return self.from_coeffs([c * c_inv for c in s0])
+        """The Fermat inverse a^(p^k - 2), cached, as a field's pivots and
+        divisors repeat; the cache holds at most p^k - 1 entries."""
+        inverse = self._inverses.get(a)
+        if inverse is None:
+            inverse = self._inverses[a] = self.pow(a, self.p ** self.k - 2)
+        return inverse
 
     def from_coeffs(self, coeffs):
         p = self.p
@@ -281,7 +262,9 @@ class FieldSpec:
                 if modulus is None:
                     modulus = default_modulus(char, degree)
                 else:
-                    modulus = _gfp_trim(tuple(c % char for c in modulus))
+                    modulus = tuple(c % char for c in modulus)
+                    while modulus and not modulus[-1]:
+                        modulus = modulus[:-1]
                     if len(modulus) != degree + 1 or modulus[-1] != 1:
                         raise ValueError("modulus must be monic of the stated degree")
                     if not _gfp_irreducible(modulus, char):
@@ -387,13 +370,15 @@ class FieldSpec:
         text = text.strip()
         if self.char == 0:
             try:
+                if "e" in text.lower():     # exponents: Fraction would expand
+                    raise ValueError("exponent notation")
                 return Scalar(self, Fraction(text))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"unparsable rational {text!r}") from exc
         try:
             if text.lstrip("-").isdigit():
                 return self.from_int(int(text))
-            return self.scalar(_parse_int_poly(text))
+            return self.scalar(_parse_int_poly(text, self.degree - 1))
         except ValueError as exc:
             raise ValueError(f"unparsable {self} element {text!r}") from exc
 
@@ -461,12 +446,7 @@ class Scalar:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result, base = self.spec.one(), self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base, exponent = base * base, exponent >> 1
-        return result
+        return Scalar(self.spec, self.spec.ops.pow(self.val, exponent))
 
     def __str__(self):
         if self.spec.char == 0:
@@ -516,7 +496,9 @@ def _format_int_poly(coeffs) -> str:
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:x(?:\^(\d+))?)?$")
 
 
-def _parse_int_poly(text: str):
+def _parse_int_poly(text: str, max_power: int):
+    """Integer coefficients of a polynomial text, lowest degree first;
+    a power above max_power is refused before any list is sized by it."""
     coeffs = {}
     for term in text.replace(" ", "").split("+"):
         m = _TERM_RE.match(term)
@@ -526,6 +508,8 @@ def _parse_int_poly(text: str):
         if coef_s is None and "x" not in term:
             raise ValueError(f"unparsable term {term!r}")
         power = (int(pow_s) if pow_s else 1) if "x" in term else 0
+        if power > max_power:
+            raise ValueError(f"term x^{power} above degree {max_power}")
         coeffs[power] = coeffs.get(power, 0) + (int(coef_s) if coef_s else 1)
     out = [0] * (max(coeffs) + 1 if coeffs else 0)
     for power, coef in coeffs.items():
@@ -546,7 +530,7 @@ def parse_field(text: str) -> FieldSpec:
         raise ValueError(f"unparsable field {text!r}")
     p = int(m.group(1))
     k = int(m.group(2)) if m.group(2) else 1
-    modulus = _parse_int_poly(m.group(3)) if m.group(3) else None
+    modulus = _parse_int_poly(m.group(3), k) if m.group(3) else None
     return galois(p, k, modulus)
 
 
@@ -770,13 +754,9 @@ def geometric_sum(k: int, a: Scalar, b: Scalar) -> Scalar:
         raise ValueError("k must be positive")
     if a.spec != b.spec:
         raise FieldMismatch("operands from different fields")
-    total = a.spec.zero()
-    b_pow = a.spec.one()
-    a_pows = [a.spec.one()]
-    for _ in range(k - 1):
-        a_pows.append(a_pows[-1] * a)
-    for j in range(k):
-        total = total + a_pows[k - 1 - j] * b_pow
+    total, b_pow = a.spec.zero(), a.spec.one()
+    for _ in range(k):                  # Horner in a, b^j entering at step j
+        total = total * a + b_pow
         b_pow = b_pow * b
     return total
 

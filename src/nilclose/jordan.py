@@ -18,8 +18,9 @@ from .errors import (
     PartitionTooLarge,
 )
 from .field import FieldSpec, Poly
-from .matrices import (ExactMatrix, _echelon, _integer_factors, _product,
-                       _rank_bareiss, minimal_polynomial, poly_eval)
+from .matrices import (ExactMatrix, _bareiss_reduce, _echelon,
+                       _integer_factors, _product, minimal_polynomial,
+                       poly_eval)
 
 _log = logging.getLogger(__name__)
 
@@ -61,9 +62,10 @@ def _defect_chain(x: ExactMatrix):
     whole space, R_k = R_(k-1) x and def(x^k) = n - dim R_k.  Each step
     multiplies only the echelon basis of R_(k-1) by x and reduces the
     products.  Over Q the rows are integer: x is scaled by the lcm of its
-    denominators, which changes no row space, Bareiss reduces, and each
-    product row is divided by its gcd.  Raises NotNilpotent when dim R_k
-    stops falling above 0."""
+    denominators, which changes no row space, each product row is divided
+    by its gcd and reduced by ``_bareiss_reduce``, and the pivot rows are
+    the basis of R_k.  Raises NotNilpotent when dim R_k stops falling
+    above 0."""
     n, spec = x.n, x.spec
     right, lift = _integer_factors(x)
     rows = ExactMatrix.identity(spec, n)._vals
@@ -72,10 +74,13 @@ def _defect_chain(x: ExactMatrix):
     defects, dim = [], n
     while dim:
         if spec.char == 0:
-            rows = _product(rows[:dim], None, right, 0)
-            rows = [[a // g for a in row] if (g := math.gcd(*row)) > 1
-                    else row for row in rows]
-            r = _rank_bareiss(rows)
+            pivots = []
+            for row in _product(rows[:dim], None, right, 0):
+                g = math.gcd(*row)
+                _bareiss_reduce([a // g for a in row] if g > 1 else row,
+                                pivots)
+            rows = [row for _, row in pivots]
+            r = len(rows)
         else:
             rows = _product(*lift(rows[:dim]), right, spec.ops.zero)
             r = len(_echelon(rows, spec.ops, full=False))

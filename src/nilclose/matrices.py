@@ -18,8 +18,10 @@ powers behind minimal polynomials share the loop; ``+``, ``-`` and
 routine, ``_echelon``, with first-nonzero pivoting: run forward it gives
 the rank over finite fields; run in full it gives the kernels behind
 centralizer bases and, over finite fields, minimal polynomials.  Over Q,
-rank and minimal polynomials use fraction-free (Bareiss) elimination on
-integer rows, and polynomial evaluation runs Horner on integers, so
+elimination on integer rows is one routine, ``_bareiss_reduce``, which
+reduces one row fraction-free (Bareiss) against the pivots found so far:
+it gives the rank, the bases of the row-space chain and minimal
+polynomials.  Polynomial evaluation over Q runs Horner on integers, so
 Fractions are formed only for the results.  Skipping zeros is exact, so
 no result depends on it.
 """
@@ -282,29 +284,25 @@ def _product(left, value, right, zero) -> list[list]:
 # rank / kernel
 # ---------------------------------------------------------------------------
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free elimination over the integers; consumes rows."""
-    m = rows
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
+def _bareiss_reduce(row: list[int], pivots: list[tuple[int, list[int]]]):
+    """Reduce an integer row fraction-free (Bareiss) against pivots, the
+    (column, row) pairs found so far, each row zero in the earlier pivot
+    columns: step j sets row to (p_j * row - row[c_j] * r_j) / p_(j-1),
+    p_j = r_j[c_j] and p_0 = 1, an exact division that keeps each entry a
+    minor of the input.  A nonzero result enters pivots under its first
+    nonzero column, which is returned; a zero row returns None."""
     prev = 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pval = m[rank][col]
-        for r in range(rank + 1, nrows):
-            rv = m[r][col]
-            for cc in range(col, ncols):
-                m[r][cc] = (pval * m[r][cc] - rv * m[rank][cc]) // prev
-        prev = pval
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    for col, pivot_row in pivots:
+        f, pv = row[col], pivot_row[col]
+        if f:
+            row = [(pv * a - f * b) // prev for a, b in zip(row, pivot_row)]
+        elif pv != prev:
+            row = [pv * a // prev for a in row]
+        prev = pv
+    col = next((j for j, a in enumerate(row) if a), None)
+    if col is not None:
+        pivots.append((col, row))
+    return col
 
 
 def _echelon(m: list[list], ops, full: bool) -> list[int]:
@@ -345,7 +343,10 @@ def _echelon(m: list[list], ops, full: bool) -> list[int]:
 def rank(x: ExactMatrix) -> int:
     """Exact rank; Bareiss over Q, forward elimination over finite fields."""
     if x.spec.char == 0:
-        return _rank_bareiss([_numerators(r, _denominator(r)) for r in x._vals])
+        pivots = []
+        for r in x._vals:
+            _bareiss_reduce(_numerators(r, _denominator(r)), pivots)
+        return len(pivots)
     return len(_echelon(list(map(list, x._vals)), x.spec.ops, full=False))
 
 
@@ -441,9 +442,10 @@ def minimal_polynomial(x: ExactMatrix) -> Poly:
     Over Q the powers of the integer image X = D*x enter one at a time,
     each as the row [vec(X^d) | e_d] whose tail records its combination
     of I, X, ..., X^d, and are reduced fraction-free (Bareiss) against the
-    pivot rows of the earlier ones.  The first power whose vec part
-    reduces to zero gives sum a_i X^i = 0, so the minimal polynomial is
-    sum a_i D^i t^i / (a_d D^d).  Over a finite field one elimination of
+    pivot rows of the earlier ones.  The first power whose reduced row
+    leads in the tail (column >= n^2) gives sum a_i X^i = 0, so the
+    minimal polynomial is sum a_i D^i t^i / (a_d D^d); by Cayley-Hamilton
+    it comes by d = n.  Over a finite field one elimination of
     the system of all powers gives it: the kernel vector of the first free
     column d is monic of degree d, as the rows of later pivots are zero in
     column d."""
@@ -452,24 +454,15 @@ def minimal_polynomial(x: ExactMatrix) -> Poly:
         nn = n * n
         big, right = _integer_image(x)
         power = [[int(i == j) for j in range(n)] for i in range(n)]
-        pivots = []                     # (column, row) in Bareiss form
+        pivots = []
         for d in range(n + 1):
             row = [a for r in power for a in r] + [0] * (n + 1)
             row[nn + d] = 1
-            prev = 1
-            for col, pivot_row in pivots:
-                f, pv = row[col], pivot_row[col]
-                row = ([(pv * a - f * b) // prev
-                        for a, b in zip(row, pivot_row)] if f
-                       else [pv * a // prev for a in row])
-                prev = pv
-            col = next((j for j in range(nn) if row[j]), None)
-            if col is None:
-                comb = row[nn:]
+            if _bareiss_reduce(row, pivots) >= nn:
+                comb = pivots[-1][1][nn:]
                 return Poly(spec, (spec.box(Fraction(comb[i],
                                                      comb[d] * big ** (d - i)))
                                    for i in range(d + 1)))
-            pivots.append((col, row))       # d < n by Cayley-Hamilton
             power = _product(power, None, right, 0)
     powers = [ExactMatrix.identity(spec, n)]
     for _ in range(n):

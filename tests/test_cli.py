@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes and round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -225,6 +226,36 @@ def test_bad_matrix_files_are_domain_errors(capsys, tmp_path, command, text,
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("MalformedMatrix: ") and message in err
+
+
+@pytest.mark.parametrize("field, cell, message", [
+    ("GF(2^2)", "x^10000000000",
+     "unparsable GF(2^2;1+x+x^2) element 'x^10000000000'"),
+    ("Q", "1e999999999", "unparsable rational '1e999999999'"),
+], ids=["huge-power", "exponent"])
+def test_oversized_cells_are_refused_at_once(capsys, tmp_path, field, cell,
+                                             message):
+    """A power past the extension degree, or a rational in exponent
+    notation, is refused before any work sized by it."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": field, "n": 1, "rows": [[cell]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "partition", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("MalformedMatrix: ") and message in err
+
+
+def test_oversized_modulus_is_usage_error_at_once(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "4", "--q", "2",
+              "--field", "GF(2^2;x^10000000000+1)"])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 64
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("nilclose verify: error:")
+    assert "term x^10000000000 above degree 2" in last
 
 
 @pytest.mark.parametrize("argv", [

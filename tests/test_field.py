@@ -81,6 +81,7 @@ def test_field_axioms_sampled():
 
 # Q and GF(p^k) for p in {2, 3, 5, 7} and k <= 4
 AXIOM_FIELDS = [Q] + [galois(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3, 4)]
+AXIOM_FIELDS += [galois(2, 12), galois(5, 6), parse_field("GF(2^3;x^3+x^2+1)")]
 
 
 @st.composite
@@ -103,7 +104,9 @@ _AXIOMS = settings(max_examples=300, deadline=None, derandomize=True,
 @given(_field_and_elements())
 def test_field_axioms_through_ops(case):
     """The field axioms hold for the raw ops object of each field, and the
-    Scalar operators agree with it."""
+    Scalar operators agree with it.  ``ops.pow`` is repeated ``ops.mul``,
+    and over a finite field of order q a nonzero x has x^(q-1) = 1, which
+    the Fermat inverse x^(q-2) relies on."""
     spec, (a, b, c) = case
     ops, x, y, z = spec.ops, a.val, b.val, c.val
     assert ops.add(ops.add(x, y), z) == ops.add(x, ops.add(y, z))
@@ -114,9 +117,15 @@ def test_field_axioms_through_ops(case):
     assert ops.submul(x, y, z) == ops.sub(x, ops.mul(y, z))
     assert ops.is_zero(x) == (x == ops.zero)
     assert (a * b).val == ops.mul(x, y) and (a - b).val == ops.sub(x, y)
+    power = ops.one
+    for e in range(6):
+        assert ops.pow(x, e) == power and (a ** e).val == power
+        power = ops.mul(power, x)
     if not ops.is_zero(x):
         assert ops.mul(x, ops.inv(x)) == ops.one
         assert a * a.inverse() == spec.one()
+        if spec.is_finite:
+            assert ops.pow(x, spec.order - 1) == ops.one
 
 
 @_AXIOMS

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from nilclose import matrices
@@ -16,6 +17,7 @@ from nilclose.field import Poly, galois, rationals
 from nilclose.jordan import jordan_chevalley
 from nilclose.matrices import (
     ExactMatrix,
+    _bareiss_reduce,
     _echelon,
     _kernel,
     centralizer_basis,
@@ -106,8 +108,8 @@ def test_rank_agrees_across_backends():
 
 def test_rank_product_inequality():
     """Sylvester's bound, and rank-nullity across the two elimination
-    routines: ``rank`` (Bareiss over Q, forward ``_echelon`` over GF(7))
-    against the kernel from full ``_echelon``."""
+    routines: ``rank`` (``_bareiss_reduce`` over Q, forward ``_echelon``
+    over GF(7)) against the kernel from full ``_echelon``."""
     rng = random.Random(17)
     for spec, lo, hi in ((GF7, 0, 6), (Q, -3, 3)):
         for _ in range(50):
@@ -120,6 +122,59 @@ def test_rank_product_inequality():
             kernel = _kernel([[a.val for a in r] for r in x.rows],
                              spec.ops, n)
             assert rank(x) + len(kernel) == n
+
+
+def _bareiss_input(rng):
+    """Integer rows with entries up to 10^6 in absolute value: rectangular,
+    dense or sparse, or rank-deficient (combinations of fewer basis rows)
+    with zero and duplicate rows."""
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    if rng.random() < 0.4:
+        density = rng.choice([0.3, 1])
+        return [[rng.randint(-10 ** 6, 10 ** 6) if rng.random() < density
+                 else 0 for _ in range(ncols)] for _ in range(nrows)]
+    basis = [[rng.randint(-10 ** 5, 10 ** 5) for _ in range(ncols)]
+             for _ in range(rng.randint(1, 3))]
+    rows = [[sum(c * b[j] for c, b in zip(coeffs, basis))
+             for j in range(ncols)]
+            for coeffs in ([rng.randint(-3, 3) for _ in basis]
+                           for _ in range(nrows))]
+    rows[rng.randrange(nrows)] = [0] * ncols
+    rows.insert(rng.randrange(nrows + 1), list(rng.choice(rows)))
+    return rows
+
+
+def test_bareiss_reduce_spans_the_row_space():
+    """``_bareiss_reduce``, the fraction-free elimination behind ``rank``,
+    the defect chain and minimal polynomials over Q.  Fed the rows one by
+    one, each pivot row leads at its recorded column and is zero in the
+    columns of the earlier pivots; each of its entries is the minor of the
+    input rows that made the pivots so far, on their pivot columns and
+    that entry's column, so the exact divisions kept every entry a minor;
+    and the pivots span the input's row space, by ``_echelon`` over Q."""
+    rng = random.Random(41)
+    ops = Q.ops
+    for _ in range(120):
+        rows = _bareiss_input(rng)
+        pivots, sources = [], []
+        for row in rows:
+            col = _bareiss_reduce(list(row), pivots)
+            if col is not None:
+                sources.append(row)
+                assert pivots[-1][0] == col
+        for j, (col, prow) in enumerate(pivots):
+            assert prow[col] and not any(prow[:col])
+            assert all(prow[c] == 0 for c, _ in pivots[:j])
+            cols = [c for c, _ in pivots[:j]]
+            for c, a in enumerate(prow):
+                minor = [[r[cc] for cc in cols + [c]] for r in sources[:j + 1]]
+                assert a == sympy.Matrix(minor).det()
+
+        def rank_over_q(int_rows):
+            return len(_echelon([[Fraction(a) for a in r] for r in int_rows],
+                                ops, full=False))
+        assert rank_over_q(rows) == rank_over_q(
+            rows + [r for _, r in pivots]) == len(pivots)
 
 
 def _dense_product(x, y):
