@@ -4,7 +4,11 @@ counterexamples and a brute-force verification oracle.
 
 The ``nilclose`` logger is silent unless the application configures it;
 the oracle logs one debug line per closure table it builds and
-``jordan_chevalley`` one per decomposition, on ``nilclose.jordan``."""
+``jordan_chevalley`` one per decomposition, on ``nilclose.jordan``.
+
+The oracle names are served on first use (PEP 562), so that importing the
+package, or running a CLI command that needs no oracle, does not import
+numpy."""
 
 import logging
 
@@ -53,15 +57,6 @@ from .matrices import (
     poly_eval,
     rank,
 )
-from .oracle import (
-    CrossValidationReport,
-    OracleReport,
-    admissible_partitions,
-    centralizer_dimension,
-    cross_validate,
-    exhaustive_check,
-    sampled_check,
-)
 from .witness import (
     Witness,
     build_coupled_cells,
@@ -92,5 +87,18 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset({
+    "CrossValidationReport", "OracleReport", "admissible_partitions",
+    "centralizer_dimension", "cross_validate", "exhaustive_check",
+    "sampled_check",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 logging.getLogger("nilclose").addHandler(logging.NullHandler())

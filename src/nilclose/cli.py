@@ -25,7 +25,6 @@ from .errors import BudgetExceeded, NilcloseError
 from .field import parse_field
 from .jordan import jordan_chevalley, jordan_partition
 from .matrices import load_matrix, matrix_to_json
-from .oracle import cross_validate, exhaustive_check, sampled_check
 from .witness import falsify
 
 EXIT_OK = 0
@@ -166,6 +165,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import exhaustive_check, sampled_check   # imports numpy
     q = QSet.parse(args.q, args.n)
     if args.mode == "exhaustive":
         report = exhaustive_check(args.n, args.field, q, budget=args.budget)
@@ -201,6 +201,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_cross_validate(args) -> int:
+    from .oracle import cross_validate                     # imports numpy
     if args.q is None:
         q_range = "all"
     else:

@@ -9,7 +9,8 @@ store raw values and their kernels call the ops object directly.  Each
 ops object has one ``pow``; GF(p^k) inverses are Fermat's a^(p^k - 2),
 cached per field, as GF(p) ones are a^(p - 2).  The default extension
 modulus is the least irreducible by Rabin's test, and primality is a
-Miller-Rabin test that is exact below PRIMALITY_LIMIT.
+Miller-Rabin test that is exact below PRIMALITY_LIMIT.  ``parse_field``
+searches the default modulus only for orders up to MODULUS_SEARCH_LIMIT.
 The module also provides the roots-of-unity search, the extension-degree
 computation needed to realize those roots, and the geometric sums that
 control the block constructions in the witness module.
@@ -37,6 +38,13 @@ from .errors import (
 # Miller-Rabin test over those bases is exact.
 PRIMALITY_LIMIT = 3317044064679887385961981
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The largest order p^k of a field text without a modulus.  The search for
+# the least irreducible tries candidates in order, and its cost grows with
+# both p and k: below this order it took at most 0.3 s for every degree
+# (GF(1613^3)), while GF(2^100) took 2.6 s, GF(2^300) over 10 s and
+# GF(1000003^16) over a minute, testing a million reducible binomials.
+MODULUS_SEARCH_LIMIT = 2 ** 32
 
 
 def is_prime(n: int) -> bool:
@@ -318,6 +326,12 @@ class FieldSpec:
     def one(self) -> "Scalar":
         return self._one
 
+    def format(self, raw) -> str:
+        """The text of a raw value, as ``Scalar.__str__`` writes it."""
+        if self.char == 0:
+            return str(raw)
+        return _format_int_poly(self.ops.coeffs(raw))
+
     def box(self, raw) -> "Scalar":
         """The Scalar of a raw value; zero is the field's single zero."""
         return self._zero if self.ops.is_zero(raw) else Scalar(self, raw)
@@ -449,9 +463,7 @@ class Scalar:
         return Scalar(self.spec, self.spec.ops.pow(self.val, exponent))
 
     def __str__(self):
-        if self.spec.char == 0:
-            return str(self.val)
-        return _format_int_poly(self.spec.ops.coeffs(self.val))
+        return self.spec.format(self.val)
 
     def __repr__(self):
         return f"Scalar({self.spec}, {self})"
@@ -521,7 +533,8 @@ _FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?(?:;(.+))?\)$")
 
 
 def parse_field(text: str) -> FieldSpec:
-    """Parse "Q", "GF(p)" or "GF(p^k;modulus)"."""
+    """Parse "Q", "GF(p)", "GF(p^k;modulus)" or "GF(p^k)"; the last, which
+    takes the default modulus, is refused above MODULUS_SEARCH_LIMIT."""
     text = text.strip()
     if text == "Q":
         return rationals()
@@ -531,6 +544,13 @@ def parse_field(text: str) -> FieldSpec:
     p = int(m.group(1))
     k = int(m.group(2)) if m.group(2) else 1
     modulus = _parse_int_poly(m.group(3), k) if m.group(3) else None
+    # for p >= 2, k > 32 alone exceeds the limit; testing it first keeps
+    # p ** k small
+    if (modulus is None and k > 1 and p > 1
+            and (k > 32 or p ** k > MODULUS_SEARCH_LIMIT)):
+        raise ValueError(
+            f"GF({p}^{k}) has order above 2^32, the limit for a field "
+            f"without a modulus; give one, as in GF({p}^{k};modulus)")
     return galois(p, k, modulus)
 
 

@@ -192,7 +192,7 @@ class ExactMatrix:
                                     self.spec.ops.zero))
 
     def __str__(self):
-        cells = [[str(x) for x in r] for r in self.rows]
+        cells = [list(map(self.spec.format, r)) for r in self._vals]
         width = max((len(c) for r in cells for c in r), default=1)
         return "\n".join(" ".join(c.rjust(width) for c in r) for r in cells)
 
@@ -480,7 +480,7 @@ def matrix_to_json(x: ExactMatrix) -> dict:
     return {
         "field": str(x.spec),
         "n": x.n,
-        "rows": [[str(e) for e in row] for row in x.rows],
+        "rows": [list(map(x.spec.format, row)) for row in x._vals],
     }
 
 

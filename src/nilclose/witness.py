@@ -13,7 +13,18 @@ combination leaves it.  Three constructions cover all rejections:
               whose difference has a single cell of size m+2.
 
 Each construction records the proven Jordan type of its combination, and
-``falsify`` checks every witness by direct computation in ``verify_witness``.
+every witness that ``falsify`` returns has passed the checks of
+``verify_witness``.  A construction depends on q only through a few sizes, so
+``falsify`` is split in two.  ``_plan`` picks the construction and its sizes
+from (n, char, q).  ``_core`` builds that construction for no particular q and
+computes its q-free invariants by direct computation: whether x and y
+commute, the Jordan types of x, y and the combination.  It is cached per
+(plan, n, char) in a bounded LRU cache of 256 entries; the n <= 8 sweep in
+chars 0, 2, 3 reaches 101 keys, and one (n, char) at most O(n^2).  On every
+call ``falsify`` then picks the violating size for q and runs the q checks
+(x and y in M(q), violating size not admitted) together with the cached
+q-free ones, through the same routine that ``verify_witness`` runs on freshly
+computed invariants.  Returned witnesses share the cached immutable matrices.
 ``construction_pairs`` lists every neighbor and gap pair that fits (n, q)
 over a given field, built as the witnesses build them; the sampled oracle
 draws its catalog from it.
@@ -21,15 +32,17 @@ draws its catalog from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import islice
 
-from .criterion import QSet, check_criterion, is_char_power, member_mq
+from .criterion import QSet, check_criterion, is_char_power
 from .errors import (
     DimensionTooSmall,
     FieldMismatch,
     InternalInconsistency,
     IsCharPower,
+    NotNilpotent,
     OutOfRange,
 )
 from .field import (
@@ -81,16 +94,38 @@ class Witness:
         return out
 
 
-def verify_witness(w: Witness, q: QSet) -> None:
-    """Recompute every invariant of the witness; raise on any failure."""
-    if not w.x.commutator(w.y).is_zero:
+@dataclass(frozen=True)
+class _Invariants:
+    """What the checks read from a witness's matrices: whether x and y
+    commute and the Jordan types of x, y and the combination, each None
+    when that matrix is not nilpotent."""
+
+    commute: bool
+    x_type: Partition | None
+    y_type: Partition | None
+    combo_type: Partition | None
+
+
+def _jordan_type(x: ExactMatrix) -> Partition | None:
+    try:
+        return jordan_partition(x)
+    except NotNilpotent:
+        return None
+
+
+def _invariants(w: Witness) -> _Invariants:
+    return _Invariants(w.x.commutator(w.y).is_zero, _jordan_type(w.x),
+                       _jordan_type(w.y), _jordan_type(w.combination()))
+
+
+def _check(w: Witness, inv: _Invariants, q: QSet) -> None:
+    """Raise on the first invariant of w that fails for q."""
+    if not inv.commute:
         raise InternalInconsistency("witness matrices do not commute")
-    if not member_mq(w.x, q):
-        raise InternalInconsistency(f"witness x is not in M({q})")
-    if not member_mq(w.y, q):
-        raise InternalInconsistency(f"witness y is not in M({q})")
-    combo = w.combination()
-    part = jordan_partition(combo)
+    for name, jtype in (("x", inv.x_type), ("y", inv.y_type)):
+        if jtype is None or not all(s in q for s in jtype.nonunit_sizes):
+            raise InternalInconsistency(f"witness {name} is not in M({q})")
+    part = inv.combo_type
     if part != w.combo_partition:
         raise InternalInconsistency(
             f"combination partition {part} != recorded {w.combo_partition}")
@@ -100,6 +135,11 @@ def verify_witness(w: Witness, q: QSet) -> None:
     if w.violating_size in q or w.violating_size == 1:
         raise InternalInconsistency(
             f"violating size {w.violating_size} is admitted by {q}")
+
+
+def verify_witness(w: Witness, q: QSet) -> None:
+    """Recompute every invariant of the witness; raise on any failure."""
+    _check(w, _invariants(w), q)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +329,8 @@ def construction_pairs(n: int, spec: FieldSpec, q: QSet):
 # the falsification decision tree
 # ---------------------------------------------------------------------------
 
-def falsify(n: int, char: int, q: QSet) -> Witness | None:
-    """None when the criterion accepts; otherwise a witness that has passed
-    ``verify_witness``.
+def _plan(n: int, char: int, q: QSet) -> tuple[str, tuple[int, ...]]:
+    """The construction that covers a rejected q, with its sizes.
 
     Rejections are covered in order: a missing size 2 yields a power
     witness; a maximal prefix that is not a characteristic power yields a
@@ -299,33 +338,52 @@ def falsify(n: int, char: int, q: QSet) -> Witness | None:
     a characteristic power with an element outside its window) yields a gap
     witness, after at most one halving step through a power witness.
     """
-    if check_criterion(n, char, q).accepted:
-        return None
-    base = _base_field(char)
     m0 = 2
     while (m0 + 1) in q:
         m0 += 1
     if 2 not in q:
-        w = witness_power(min(q), min(q) - 1, n, base, q)
-    elif m0 > n // 2:
+        return "power", (min(q), min(q) - 1)
+    if m0 > n // 2:
         raise InternalInconsistency(
             f"criterion rejected q={q} despite prefix through {m0}")
-    elif not is_char_power(m0, char):
-        w = witness_neighbor(m0, n, char, q)
+    if not is_char_power(m0, char):
+        return "neighbor", (m0,)
+    # the prefix anchor is a characteristic power, so some element escapes
+    # its window [n - m0 + 2, 2*m0]
+    lo, hi = n - m0 + 2, 2 * m0
+    m1 = min(m for m in q if m > m0 and not lo <= m <= hi)
+    half_lo, half_hi = m1 // 2, (m1 + 1) // 2
+    if m1 < lo:
+        # below the window: the gap construction manufactures size m0 + 1
+        return "gap", (m0 - 1, m1)
+    if half_lo not in q or half_hi not in q:
+        return "power", (m1, 2)
+    # both halves admitted; the lower half sits strictly between the prefix
+    # and the window, so the gap construction applies to it
+    return "gap", (m0 - 1, half_lo)
+
+
+@lru_cache(maxsize=256)
+def _core(plan: tuple[str, tuple[int, ...]], n: int,
+          char: int) -> tuple[Witness, _Invariants]:
+    """The planned construction built for no particular q, with its
+    invariants computed by direct computation."""
+    construction, sizes = plan
+    if construction == "neighbor":
+        w = witness_neighbor(*sizes, n, char)
     else:
-        # the prefix anchor is a characteristic power, so some element
-        # escapes its window [n - m0 + 2, 2*m0]
-        lo, hi = n - m0 + 2, 2 * m0
-        m1 = min(m for m in q if m > m0 and not lo <= m <= hi)
-        half_lo, half_hi = m1 // 2, (m1 + 1) // 2
-        if m1 < lo:
-            # below the window: the gap construction manufactures size m0 + 1
-            w = witness_gap(m0 - 1, m1, n, base, q)
-        elif half_lo not in q or half_hi not in q:
-            w = witness_power(m1, 2, n, base, q)
-        else:
-            # both halves admitted; the lower half sits strictly between the
-            # prefix and the window, so the gap construction applies to it
-            w = witness_gap(m0 - 1, half_lo, n, base, q)
-    verify_witness(w, q)
+        build = witness_power if construction == "power" else witness_gap
+        w = build(*sizes, n, _base_field(char))
+    return w, _invariants(w)
+
+
+def falsify(n: int, char: int, q: QSet) -> Witness | None:
+    """None when the criterion accepts; otherwise a witness that has passed
+    the checks of ``verify_witness`` for q (see the module docstring for
+    what is computed once per construction and what on every call)."""
+    if check_criterion(n, char, q).accepted:
+        return None
+    core, inv = _core(_plan(n, char, q), n, char)
+    w = replace(core, violating_size=_pick_violating(core.combo_partition, q))
+    _check(w, inv, q)
     return w

@@ -1,10 +1,15 @@
 """Command-line interface: output formats, exit codes and round trips."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import nilclose
 from nilclose import oracle
 from nilclose.cli import main
 from nilclose.field import PRIMALITY_LIMIT, rationals
@@ -256,6 +261,53 @@ def test_oversized_modulus_is_usage_error_at_once(capsys):
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("nilclose verify: error:")
     assert "term x^10000000000 above degree 2" in last
+
+
+@pytest.mark.parametrize("field", ["GF(2^300)", "GF(2^33)",
+                                   "GF(1000003^16)"])
+def test_field_past_the_modulus_search_limit_is_refused_at_once(
+        capsys, tmp_path, field):
+    """A field without a modulus above order 2^32 is refused before the
+    default modulus is searched: a usage error for --field, a malformed
+    matrix for a file."""
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", "--q", "2", "--field", field])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 64
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("nilclose verify: error: argument --field: ")
+    assert "2^32" in last and "give one" in last
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"field": field, "n": 1, "rows": [["0"]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "partition", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("MalformedMatrix: ") and "2^32" in err
+
+
+def test_commands_without_the_oracle_do_not_import_numpy():
+    """Only verify and cross-validate need the oracle, and with it numpy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilclose.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = textwrap.dedent("""
+        import sys
+        import nilclose.cli
+        seen = ["numpy" in sys.modules]
+        for command in ("criterion", "witness"):
+            nilclose.cli.main([command, "--n", "6", "--char", "0",
+                               "--q", "2,3,5"])
+            seen.append("numpy" in sys.modules)
+        nilclose.exhaustive_check
+        seen.append("numpy" in sys.modules)
+        print(seen)
+        """)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, False, True]"
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,6 +16,7 @@ from nilclose.errors import (
     NotCoprime,
 )
 from nilclose.field import (
+    MODULUS_SEARCH_LIMIT,
     FieldSpec,
     PRIMALITY_LIMIT,
     Poly,
@@ -335,6 +336,18 @@ def test_fieldspec_text_encoding():
     assert parse_field("GF(7)") == GF7
     assert parse_field(str(GF4)) == GF4
     assert parse_field("GF(2^2)") == GF4
+
+
+def test_default_modulus_search_limit():
+    """A field text without a modulus is accepted up to order 2^32 and
+    refused above it, before any search; every field under tests/data
+    gives its modulus and is far below the limit anyway."""
+    assert MODULUS_SEARCH_LIMIT == 2 ** 32
+    assert parse_field("GF(65521^2)").order <= MODULUS_SEARCH_LIMIT
+    assert parse_field("GF(2^12;1+x^3+x^12)").degree == 12
+    for text in ("GF(65537^2)", "GF(2^33)", "GF(1000003^16)"):
+        with pytest.raises(ValueError, match=r"above 2\^32.*give one"):
+            parse_field(text)
 
 
 def test_poly_basics():

@@ -269,20 +269,67 @@ def _count_jordan_partition(monkeypatch):
 
 def test_jordan_partition_calls(monkeypatch):
     """The constructions compute no Jordan type; falsify computes three
-    per rejected q (x, y and the combination, all in verify_witness)."""
+    (x, y and the combination) the first time it meets a construction, and
+    none when it meets the same construction again."""
     calls = _count_jordan_partition(monkeypatch)
     assert sum(1 for _ in _all_constructions(8)) > 0
     assert calls == []
+    witness._core.cache_clear()
+    seen = set()
     rejected = 0
     for n in range(2, 9):
         for char in (0, 2, 3):
             for q in all_qsets(n):
                 before = len(calls)
                 w = falsify(n, char, q)
-                rejected += w is not None
-                assert len(calls) - before == (0 if w is None else 3), \
-                    (n, char, str(q))
-    assert rejected > 0
+                expected = 0
+                if w is not None:
+                    rejected += 1
+                    key = (witness._plan(n, char, q), n, char)
+                    expected = 0 if key in seen else 3
+                    seen.add(key)
+                assert len(calls) - before == expected, (n, char, str(q))
+    assert 0 < len(seen) < rejected
+
+
+def test_cached_witnesses_equal_cold_ones():
+    """Every rejected q at n <= 8 in chars 0, 2, 3 and 5 gets the same
+    witness from an empty cache as from a warm one, and that witness
+    passes the full re-verification."""
+    items = [(n, char, q) for n in range(2, 9) for char in (0, 2, 3, 5)
+             for q in all_qsets(n)]
+    cold = []
+    for item in items:
+        witness._core.cache_clear()
+        cold.append(falsify(*item))
+    for item in items:
+        falsify(*item)
+    hits = witness._core.cache_info().hits
+    warm = [falsify(*item) for item in items]
+    rejected = sum(w is not None for w in warm)
+    assert witness._core.cache_info().hits - hits == rejected > 0
+    for (n, char, q), c, w in zip(items, cold, warm):
+        assert (c is None) == (w is None)
+        if w is not None:
+            assert c.to_json() == w.to_json(), (n, char, str(q))
+            verify_witness(w, q)
+
+
+def test_cache_hit_still_checks_q(monkeypatch):
+    """A cached construction is re-checked against each new q: sizes of x
+    and y outside q, and a violating size that q admits, still raise."""
+    witness._core.cache_clear()
+    first = falsify(4, 0, qs([4], 4))           # power witness, m=4, k=3
+    assert witness._plan(4, 0, qs([4], 4)) == ("power", (4, 3))
+    assert falsify(4, 0, qs([4], 4)).x is first.x
+    monkeypatch.setattr(witness, "_plan", lambda n, char, q: ("power", (4, 3)))
+    hits = witness._core.cache_info().hits
+    with pytest.raises(InternalInconsistency, match="witness x is not in"):
+        falsify(4, 0, qs([2], 4))
+    with pytest.raises(InternalInconsistency,
+                       match="violating size 2 is admitted"):
+        falsify(4, 0, qs([2, 4], 4))
+    assert witness._core.cache_info().hits == hits + 2
 
 
 def test_witness_serialization():
