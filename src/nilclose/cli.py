@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .criterion import (
     QSet,
@@ -307,9 +308,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser behind ``main``, built once per process: building all
+    eight subparsers costs about as much as a small command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except BudgetExceeded as exc:

@@ -2,24 +2,29 @@
 
 Every field has one ops object that holds all of its arithmetic, on raw
 values: reduced ``Fraction``s over Q, residues ``0 <= a < p`` over GF(p),
-and coefficient tuples reduced modulo p and the irreducible modulus over
-GF(p^k).  ``Scalar`` is a thin immutable facade that pairs a raw value
-with its field and delegates every operation to the ops object; matrices
-store raw values and their kernels call the ops object directly.  Each
-ops object has one ``pow``; GF(p^k) inverses are Fermat's a^(p^k - 2),
-cached per field, as GF(p) ones are a^(p - 2).  The default extension
-modulus is the least irreducible by Rabin's test, and primality is a
-Miller-Rabin test that is exact below PRIMALITY_LIMIT.  ``parse_field``
-searches the default modulus only for orders up to MODULUS_SEARCH_LIMIT.
-The module also provides the roots-of-unity search, the extension-degree
-computation needed to realize those roots, and the geometric sums that
-control the block constructions in the witness module.
+and over GF(p^k) packed ints, whose byte-aligned slots hold the
+coefficients reduced modulo p and the irreducible modulus (Kronecker
+substitution, as for matrix products): a product is one int multiply whose
+slots are read once, a sum one int addition reduced slot-wise.  In every
+field the raw zero is the only false raw value.  ``Scalar`` is a thin
+immutable facade that pairs a raw value with its field and delegates every
+operation to the ops object; matrices store raw values and their kernels
+call the ops object directly.  Each ops object has one ``pow``; GF(p^k)
+inverses are Fermat's a^(p^k - 2), cached per field, as GF(p) ones are
+a^(p - 2).  The default extension modulus is the least irreducible by
+Rabin's test, and primality is a Miller-Rabin test that is exact below
+PRIMALITY_LIMIT.  ``parse_field`` searches the default modulus only for
+orders up to MODULUS_SEARCH_LIMIT, and takes no field of order above
+FIELD_ORDER_LIMIT.  The module also provides the roots-of-unity search, the
+extension-degree computation needed to realize those roots, and the
+geometric sums that control the block constructions in the witness module.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, zip_longest
@@ -45,6 +50,15 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # (GF(1613^3)), while GF(2^100) took 2.6 s, GF(2^300) over 10 s and
 # GF(1000003^16) over a minute, testing a million reducible binomials.
 MODULUS_SEARCH_LIMIT = 2 ** 32
+
+# The largest order p^k of any field text.  A given modulus is checked by
+# Rabin's test, k Frobenius powers of about log2 p products each, and a
+# product folds each of its k - 1 high coefficients along the modulus's
+# nonzero terms, so a dense modulus costs about k^3 log2 p steps.  At order
+# 2^512 the slowest case measured, a dense modulus of degree 512 over GF(2),
+# took 4.4 s and a trinomial of that degree 0.05 s; trinomials of degree
+# 1000 and 3000 took 0.5 s and 5.2 s, and the degree has no other bound.
+FIELD_ORDER_LIMIT = 2 ** 512
 
 
 def is_prime(n: int) -> bool:
@@ -98,8 +112,8 @@ def _gfp_irreducible(f, p) -> bool:
         frobenius.append(ops.pow(frobenius[-1], p))
     gfp = FieldSpec(p)
     return frobenius[k] == t and all(
-        Poly.from_ints(gfp, f).gcd(
-            Poly.from_ints(gfp, ops.sub(frobenius[k // r], t))).degree == 0
+        Poly.from_ints(gfp, f).gcd(Poly.from_ints(
+            gfp, ops.coeffs(ops.sub(frobenius[k // r], t)))).degree == 0
         for r in range(2, k + 1) if k % r == 0 and is_prime(r))
 
 
@@ -155,61 +169,92 @@ class _PrimeOps:
         return (a,)
 
 
+def _slot_codec(count: int, bits: int):
+    """(read, write) for ints of count slots, slot 0 lowest, each slot the
+    least power-of-two number of bytes that holds bits bits: read(v) lists
+    the slots of such an int v >= 0, and write(coeffs) packs count
+    coefficients that fit their slots.  Each is one ``to_bytes`` or
+    ``from_bytes``, so linear in count; slots of 2 to 8 bytes go through
+    one ``struct`` format."""
+    size = 1 << max(0, (bits - 1).bit_length() - 3)
+    width = count * size
+    if size == 1:
+        def read(v):
+            return list(v.to_bytes(width, "little"))
+
+        def write(coeffs):
+            return int.from_bytes(bytes(coeffs), "little")
+    elif size <= 8:
+        code = {2: "H", 4: "I", 8: "Q"}[size]
+        fmt = struct.Struct(f"<{count}{code}")
+
+        def read(v):
+            return list(fmt.unpack(v.to_bytes(width, "little")))
+
+        def write(coeffs):
+            return int.from_bytes(fmt.pack(*coeffs), "little")
+    else:
+        def read(v):
+            data = v.to_bytes(width, "little")
+            return [int.from_bytes(data[i:i + size], "little")
+                    for i in range(0, width, size)]
+
+        def write(coeffs):
+            return int.from_bytes(b"".join(c.to_bytes(size, "little")
+                                           for c in coeffs), "little")
+    return read, write
+
+
 class _ExtensionOps:
-    """Arithmetic of GF(p^k) on coefficient tuples of length k, lowest
-    degree first, reduced modulo p and the monic irreducible modulus."""
+    """Arithmetic of GF(p^k) on packed ints: coefficient i of the element,
+    lowest degree first and reduced modulo p and the monic irreducible
+    modulus, sits in slot i of a whole number of bytes, wide enough for a
+    coefficient of the product of two elements, at most k(p-1)^2, so a
+    product is one int multiply whose slots carry nothing into the next;
+    ``fold`` reads them and reduces them once.  A sum is one int addition
+    whose slots, below 2p, are brought under p at once by a guard bit."""
+
+    zero, one = 0, 1
+    is_zero = staticmethod(operator.not_)
 
     def __init__(self, p: int, modulus):
-        self.p, self.k = p, len(modulus) - 1
-        self.zero = (0,) * self.k
-        self.one = (1,) + (0,) * (self.k - 1)
+        k = len(modulus) - 1
+        self.p, self.k = p, k
+        g = p.bit_length()                  # the guard bit: 2^g > p
+        bits = max((k * (p - 1) ** 2).bit_length(), g + 1)
+        self._read, write = _slot_codec(k, bits)
+        read_product = _slot_codec(2 * k - 1, bits)[0]
+        ones = write([1] * k)
+        ps = p * ones                       # p in every slot
+        bias = ((1 << g) - p) * ones        # t + bias reaches 2^g iff t >= p
+        guard = ones << g
         # x^k = -(lower terms of the modulus); only its nonzero terms fold
-        self._tail = [(j, c) for j, c in enumerate(modulus[:-1]) if c]
+        tail = [(j, c) for j, c in enumerate(modulus[:-1]) if c]
+
+        def reduce(s):
+            """Slot-wise s mod p, for slots 0 <= t < 2p."""
+            return s - (((s + bias) & guard) >> g) * p
+
+        def fold(prod):
+            """The field element of an unreduced product, a list of integer
+            coefficients lowest degree first, reduced once modulo p and the
+            modulus."""
+            for i in range(len(prod) - 1, k - 1, -1):
+                t = prod[i] % p
+                if t:
+                    for j, c in tail:
+                        prod[i - k + j] -= t * c
+            return write([c % p for c in prod[:k]])
+
+        def mul(a, b):
+            return fold(read_product(a * b))
+
+        self._write, self.fold, self.mul = write, fold, mul
+        self.add = lambda a, b: reduce(a + b)
+        self.sub = lambda a, b: reduce(a + ps - b)
+        self.neg = lambda a: reduce(ps - a)
+        self.submul = lambda a, f, b: reduce(a + ps - mul(f, b))
         self._inverses = {}
-
-    def add(self, a, b):
-        p = self.p
-        return tuple([(x + y) % p for x, y in zip(a, b)])
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple([(x - y) % p for x, y in zip(a, b)])
-
-    def neg(self, a):
-        p = self.p
-        return tuple([-x % p for x in a])
-
-    def mul(self, a, b):
-        return self.fold(self._convolve([0] * (2 * self.k - 1), a, b, 1))
-
-    def submul(self, a, f, b):
-        return self.fold(self._convolve(list(a) + [0] * (self.k - 1),
-                                        f, b, -1))
-
-    @staticmethod
-    def _convolve(acc, a, b, sign):
-        """acc + sign * (a times b as polynomials), unreduced."""
-        for i, x in enumerate(a):
-            if x:
-                x *= sign
-                for j, y in enumerate(b):
-                    acc[i + j] += x * y
-        return acc
-
-    def fold(self, prod):
-        """The field element of an unreduced product: a list of 2k - 1
-        integer coefficients, reduced once modulo p and the modulus."""
-        p, k, tail = self.p, self.k, self._tail
-        for i in range(len(prod) - 1, k - 1, -1):
-            t = prod[i] % p
-            if t:
-                for j, c in tail:
-                    prod[i - k + j] -= t * c
-        return tuple([c % p for c in prod[:k]])
-
-    @staticmethod
-    def is_zero(a):
-        return not any(a)
 
     def pow(self, a, e):
         """a^e for e >= 0, by square-and-multiply from the high bit."""
@@ -232,11 +277,12 @@ class _ExtensionOps:
 
     def from_coeffs(self, coeffs):
         p = self.p
-        return tuple(c % p for c in coeffs) + (0,) * (self.k - len(coeffs))
+        return self._write([c % p for c in coeffs]
+                           + [0] * (self.k - len(coeffs)))
 
-    @staticmethod
-    def coeffs(a):
-        return a
+    def coeffs(self, a):
+        """The k coefficients of a, lowest degree first."""
+        return tuple(self._read(a))
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +578,18 @@ def _parse_int_poly(text: str, max_power: int):
 _FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?(?:;(.+))?\)$")
 
 
+def _order_above(p: int, k: int, limit: int) -> bool:
+    """Whether p^k > limit, a power of two, without forming p^k when the
+    bit length of p alone settles it."""
+    return (k * (p.bit_length() - 1) >= limit.bit_length()
+            or p ** k > limit)
+
+
 def parse_field(text: str) -> FieldSpec:
-    """Parse "Q", "GF(p)", "GF(p^k;modulus)" or "GF(p^k)"; the last, which
-    takes the default modulus, is refused above MODULUS_SEARCH_LIMIT."""
+    """Parse "Q", "GF(p)", "GF(p^k;modulus)" or "GF(p^k)"; a field of order
+    above FIELD_ORDER_LIMIT is refused, and so is the last form, which takes
+    the default modulus, above MODULUS_SEARCH_LIMIT, both before any
+    modulus is read, searched or tested."""
     text = text.strip()
     if text == "Q":
         return rationals()
@@ -543,14 +598,16 @@ def parse_field(text: str) -> FieldSpec:
         raise ValueError(f"unparsable field {text!r}")
     p = int(m.group(1))
     k = int(m.group(2)) if m.group(2) else 1
-    modulus = _parse_int_poly(m.group(3), k) if m.group(3) else None
-    # for p >= 2, k > 32 alone exceeds the limit; testing it first keeps
-    # p ** k small
-    if (modulus is None and k > 1 and p > 1
-            and (k > 32 or p ** k > MODULUS_SEARCH_LIMIT)):
+    name = f"GF({p}^{k})" if k > 1 else f"GF({p})"
+    if _order_above(p, k, FIELD_ORDER_LIMIT):
+        raise ValueError(f"{name} has order above 2^512, the limit for "
+                         f"any field")
+    if m.group(3) is None and k > 1 and _order_above(p, k,
+                                                     MODULUS_SEARCH_LIMIT):
         raise ValueError(
-            f"GF({p}^{k}) has order above 2^32, the limit for a field "
+            f"{name} has order above 2^32, the limit for a field "
             f"without a modulus; give one, as in GF({p}^{k};modulus)")
+    modulus = _parse_int_poly(m.group(3), k) if m.group(3) else None
     return galois(p, k, modulus)
 
 

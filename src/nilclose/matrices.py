@@ -10,20 +10,21 @@ Products run one zero-skipping loop, ``_product``, for every field: any
 number of left rows times a square right factor, both lifted to Python
 ints.  Over Q row i of the left rows is scaled to its common denominator
 d_i and the right factor to one denominator D; over GF(p) an entry is its
-residue; over GF(p^k) its coefficients are packed into one int (Kronecker
-substitution).  Each nonzero sum is reduced once.  ``*``, the row-space
-chain behind Jordan partitions and, over Q, polynomial evaluation and the
-powers behind minimal polynomials share the loop; ``+``, ``-`` and
-``scale`` skip zero entries as well.  Elimination on raw values is one
-routine, ``_echelon``, with first-nonzero pivoting: run forward it gives
-the rank over finite fields; run in full it gives the kernels behind
-centralizer bases and, over finite fields, minimal polynomials.  Over Q,
-elimination on integer rows is one routine, ``_bareiss_reduce``, which
-reduces one row fraction-free (Bareiss) against the pivots found so far:
-it gives the rank, the bases of the row-space chain and minimal
-polynomials.  Polynomial evaluation over Q runs Horner on integers, so
-Fractions are formed only for the results.  Skipping zeros is exact, so
-no result depends on it.
+residue; over GF(p^k) its packed int is repacked into slots wide enough for
+a sum of n products (Kronecker substitution).  Each nonzero sum is reduced
+once.  ``*``, the row-space chain behind Jordan partitions and, over Q,
+polynomial evaluation and the powers behind minimal polynomials share the
+loop; ``+``, ``-`` and ``scale`` skip zero entries as well.  Elimination on
+raw values is one routine, ``_echelon``, with first-nonzero pivoting: run
+forward it gives the rank over finite fields, leaving pivot rows unscaled
+and inverting a pivot only when a row below needs it; run in full it gives
+the kernels behind centralizer bases and, over finite fields, minimal
+polynomials.  Over Q, elimination on integer rows is one routine,
+``_bareiss_reduce``, which reduces one row fraction-free (Bareiss) against
+the pivots found so far: it gives the rank, the bases of the row-space
+chain and minimal polynomials.  Polynomial evaluation over Q runs Horner on
+integers, so Fractions are formed only for the results.  Skipping zeros is
+exact, so no result depends on it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache, reduce
 from math import lcm
 
 from .errors import DimensionMismatch, FieldMismatch, MalformedMatrix
-from .field import FieldSpec, Poly, Scalar, parse_field
+from .field import FieldSpec, Poly, Scalar, _slot_codec, parse_field
 
 
 class ExactMatrix:
@@ -192,12 +193,19 @@ class ExactMatrix:
                                     self.spec.ops.zero))
 
     def __str__(self):
-        cells = [list(map(self.spec.format, r)) for r in self._vals]
+        cells = _cells(self)
         width = max((len(c) for r in cells for c in r), default=1)
         return "\n".join(" ".join(c.rjust(width) for c in r) for r in cells)
 
     def __repr__(self):
         return f"ExactMatrix({self.spec}, n={self.n})"
+
+
+def _cells(x: ExactMatrix) -> list[list[str]]:
+    """The text of each entry of x; each distinct raw value is formatted
+    once."""
+    text = lru_cache(maxsize=None)(x.spec.format)
+    return [list(map(text, r)) for r in x._vals]
 
 
 def _denominator(row) -> int:
@@ -240,21 +248,22 @@ def _integer_factors(y: ExactMatrix):
     if k == 1:
         right, lift = y._vals, lambda left: (left, lambda i, v: v % p)
     else:
-        # GF(p^k): coefficient t in bits [t*w, (t+1)*w).  A slot of a sum
-        # of n products of packed entries is at most n*k*(p-1)^2 < 2^w, so
-        # no slot carries into the next.  Entries and sums repeat in small
-        # fields, so each distinct one is packed or reduced once.
-        w = (n * k * (p - 1) ** 2).bit_length() + 1
-        mask, shifts = (1 << w) - 1, range(0, (2 * k - 1) * w, w)
-        fold = y.spec.ops.fold
+        # GF(p^k): an entry's coefficients move from the field's slots to
+        # wider ones.  A slot of a sum of n products of entries is at most
+        # n*k*(p-1)^2, so no slot carries into the next.  Entries and sums
+        # repeat in small fields, so each distinct one is repacked or
+        # reduced once.
+        ops = y.spec.ops
+        bits = (n * k * (p - 1) ** 2).bit_length()
+        write, read = _slot_codec(k, bits)[1], _slot_codec(2 * k - 1, bits)[0]
 
         @lru_cache(maxsize=None)
         def pack(val):
-            return sum(c << s for c, s in zip(val, shifts))
+            return write(ops.coeffs(val))
 
         @lru_cache(maxsize=None)
         def unpack(v):
-            return fold([(v >> s) & mask for s in shifts])
+            return ops.fold(read(v))
         right = [list(map(pack, r)) for r in y._vals]
 
         def lift(left):
@@ -308,32 +317,39 @@ def _bareiss_reduce(row: list[int], pivots: list[tuple[int, list[int]]]):
 def _echelon(m: list[list], ops, full: bool) -> list[int]:
     """Row-reduce m, rows of raw field values, in place and return the
     pivot columns.  The pivot of each column is its first nonzero entry
-    at or below the current rank; the pivot row is scaled to lead with 1
-    and its nonzero columns are subtracted from the rows below it, and
-    with ``full`` also from the rows above (reduced row echelon form)."""
-    is_zero, mul, submul = ops.is_zero, ops.mul, ops.submul
+    at or below the current rank, and the pivot row's nonzero columns are
+    subtracted from each row below it with a nonzero in the pivot column.
+    With ``full`` the pivot row is first scaled to lead with 1 and is
+    subtracted from the rows above as well (reduced row echelon form);
+    without it the row keeps its pivot, each factor is f / pivot, and the
+    pivot's inverse is taken only when some row needs it.  A raw value is
+    false exactly when it is zero, in every field."""
+    mul, submul = ops.mul, ops.submul
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
     for col in range(ncols):
         rank_ = len(pivots)
-        piv = next((r for r in range(rank_, nrows)
-                    if not is_zero(m[r][col])), None)
-        if piv is None:
+        hits = [r for r in range(rank_, nrows) if m[r][col]]
+        if not hits:
             continue
+        piv, *targets = hits        # the swap moves a zero to row piv
         if piv != rank_:
             m[rank_], m[piv] = m[piv], m[rank_]
         prow = m[rank_]
-        inv = ops.inv(prow[col])
-        support = [cc for cc in range(col, ncols) if not is_zero(prow[cc])]
-        for cc in support:
-            prow[cc] = mul(prow[cc], inv)
-        for r in range(0 if full else rank_ + 1, nrows):
-            f = m[r][col]
-            if r != rank_ and not is_zero(f):
-                row = m[r]
-                for cc in support:
-                    row[cc] = submul(row[cc], f, prow[cc])
+        support = [cc for cc in range(col, ncols) if prow[cc]]
+        if full:
+            inv = ops.inv(prow[col])
+            for cc in support:
+                prow[cc] = mul(prow[cc], inv)
+            targets[:0] = [r for r in range(rank_) if m[r][col]]
+        elif targets:
+            inv = ops.inv(prow[col])
+        for r in targets:
+            row = m[r]
+            f = row[col] if full else mul(row[col], inv)
+            for cc in support:
+                row[cc] = submul(row[cc], f, prow[cc])
         pivots.append(col)
         if rank_ + 1 == nrows:
             break
@@ -480,7 +496,7 @@ def matrix_to_json(x: ExactMatrix) -> dict:
     return {
         "field": str(x.spec),
         "n": x.n,
-        "rows": [list(map(x.spec.format, row)) for row in x._vals],
+        "rows": _cells(x),
     }
 
 

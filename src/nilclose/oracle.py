@@ -127,7 +127,7 @@ def _regular_blocks(spec: FieldSpec) -> np.ndarray:
     out = np.zeros((spec.order, k, k), dtype=np.int64)
     for c, e in enumerate(spec.elements()):
         for j, t_j in enumerate(powers_of_t):
-            out[c, :, j] = (e * t_j).val
+            out[c, :, j] = spec.ops.coeffs((e * t_j).val)
     return out
 
 

@@ -263,13 +263,9 @@ def test_oversized_modulus_is_usage_error_at_once(capsys):
     assert "term x^10000000000 above degree 2" in last
 
 
-@pytest.mark.parametrize("field", ["GF(2^300)", "GF(2^33)",
-                                   "GF(1000003^16)"])
-def test_field_past_the_modulus_search_limit_is_refused_at_once(
-        capsys, tmp_path, field):
-    """A field without a modulus above order 2^32 is refused before the
-    default modulus is searched: a usage error for --field, a malformed
-    matrix for a file."""
+def _assert_field_refused_at_once(capsys, tmp_path, field, message):
+    """--field with this text is a usage error and a matrix file over it a
+    MalformedMatrix, each within a second and with message in the error."""
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "2", "--q", "2", "--field", field])
@@ -277,14 +273,38 @@ def test_field_past_the_modulus_search_limit_is_refused_at_once(
     assert exc.value.code == 64
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("nilclose verify: error: argument --field: ")
-    assert "2^32" in last and "give one" in last
+    assert message in last
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"field": field, "n": 1, "rows": [["0"]]}))
     start = time.perf_counter()
     code, out, err = run(capsys, "partition", "--input", str(path))
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
-    assert err.startswith("MalformedMatrix: ") and "2^32" in err
+    assert err.startswith("MalformedMatrix: ") and message in err
+
+
+@pytest.mark.parametrize("field", ["GF(2^300)", "GF(2^33)",
+                                   "GF(1000003^16)"])
+def test_field_past_the_modulus_search_limit_is_refused_at_once(
+        capsys, tmp_path, field):
+    """A field without a modulus above order 2^32 is refused before the
+    default modulus is searched: a usage error for --field, a malformed
+    matrix for a file."""
+    _assert_field_refused_at_once(capsys, tmp_path, field,
+                                  "above 2^32, the limit for a field "
+                                  "without a modulus; give one")
+
+
+@pytest.mark.parametrize("field", [
+    "GF(2^513;x^513+x+1)", "GF(2^1000;x^1000+x+1)",
+    "GF(2^3000;x^3000+x+1)", "GF(3^324;x^324+2*x+1)",
+    "GF(1000003^26;x^26+x+1)", "GF(2^10000000000;x^10000000000+x+1)"])
+def test_field_past_the_order_limit_is_refused_at_once(capsys, tmp_path,
+                                                       field):
+    """A field text of order above 2^512 is refused before its modulus is
+    read or tested, with the limit named."""
+    _assert_field_refused_at_once(capsys, tmp_path, field,
+                                  "above 2^512, the limit for any field")
 
 
 def test_commands_without_the_oracle_do_not_import_numpy():
@@ -375,3 +395,27 @@ def test_help_lists_subcommands(capsys):
     for name in ("criterion", "enumerate", "partition", "member", "witness",
                  "verify", "decompose", "cross-validate"):
         assert name in out
+
+
+def test_main_runs_again_with_its_cached_parser(capsys):
+    """``main`` builds its parser once per process; later calls with other
+    subcommands, a usage error and --help behave as on a first call."""
+    code, out, _ = run(capsys, "criterion", "--n", "4", "--char", "0",
+                       "--q", "2,3", "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "accept"
+    code, out, _ = run(capsys, "enumerate", "--n", "4", "--char", "2")
+    assert code == 0 and out.splitlines()[0] == "-"
+    code, out, _ = run(capsys, "witness", "--n", "4", "--char", "0",
+                       "--q", "2,4", "--json")
+    assert code == 0 and json.loads(out)["construction"] == "neighbor"
+    with pytest.raises(SystemExit) as exc:
+        main(["criterion", "--n", "4"])
+    assert exc.value.code == 64
+    assert "required" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--help"])
+    assert exc.value.code == 0
+    assert "--char" in capsys.readouterr().out
+    code, out, _ = run(capsys, "criterion", "--n", "4", "--char", "0",
+                       "--q", "2,3", "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "accept"

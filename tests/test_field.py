@@ -16,6 +16,7 @@ from nilclose.errors import (
     NotCoprime,
 )
 from nilclose.field import (
+    FIELD_ORDER_LIMIT,
     MODULUS_SEARCH_LIMIT,
     FieldSpec,
     PRIMALITY_LIMIT,
@@ -135,6 +136,139 @@ def test_text_round_trip(case):
     spec, (a,) = case
     assert spec.parse_scalar(str(a)) == a
     assert parse_field(str(spec)) == spec
+
+
+class _TupleOps:
+    """The coefficient-tuple arithmetic of GF(p^k), kept as the reference
+    for the packed ints: an element is the tuple of its k coefficients,
+    lowest degree first, and a product is a convolution folded along the
+    modulus's nonzero lower terms."""
+
+    def __init__(self, p, modulus):
+        self.p, self.k = p, len(modulus) - 1
+        self.one = (1,) + (0,) * (self.k - 1)
+        self.tail = [(j, c) for j, c in enumerate(modulus[:-1]) if c]
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    @staticmethod
+    def _convolve(acc, a, b, sign):
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    acc[i + j] += sign * x * y
+        return acc
+
+    def fold(self, prod):
+        p, k = self.p, self.k
+        for i in range(len(prod) - 1, k - 1, -1):
+            t = prod[i] % p
+            if t:
+                for j, c in self.tail:
+                    prod[i - k + j] -= t * c
+        return tuple(c % p for c in prod[:k])
+
+    def mul(self, a, b):
+        return self.fold(self._convolve([0] * (2 * self.k - 1), a, b, 1))
+
+    def submul(self, a, f, b):
+        return self.fold(self._convolve(list(a) + [0] * (self.k - 1),
+                                        f, b, -1))
+
+    def pow(self, a, e):
+        result = self.one
+        for bit in bin(e)[2:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+    def inv(self, a):
+        return self.pow(a, self.p ** self.k - 2)
+
+
+# small and wide slots: a product coefficient of GF(13^2) reaches
+# 2*12^2 = 288, just past one byte; GF(1000003^2) has 8-byte slots, and
+# GF(4294967311^2), p the least prime above 2^32, 16-byte ones read one by
+# one
+PACKED_FIELDS = [galois(2, 2), galois(2, 12), galois(3, 5), galois(5, 6),
+                 galois(7, 3), galois(13, 2), galois(1000003, 2),
+                 galois(4294967311, 2),
+                 parse_field("GF(2^64;1+x+x^3+x^4+x^64)")]
+
+
+@st.composite
+def _packed_case(draw):
+    """A field of PACKED_FIELDS, three coefficient tuples and an exponent."""
+    spec = draw(st.sampled_from(PACKED_FIELDS))
+    p, k = spec.char, spec.degree
+    coeffs = st.tuples(*[st.integers(0, p - 1)] * k)
+    return (spec, draw(coeffs), draw(coeffs), draw(coeffs),
+            draw(st.integers(0, 2 ** 20)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_packed_case())
+def test_packed_elements_match_tuple_arithmetic(case):
+    """Every ops routine of GF(p^k) on packed ints gives, read back through
+    ``coeffs``, what the coefficient-tuple arithmetic gives; zero is the
+    int 0 and ``is_zero`` is ``not``."""
+    spec, a, b, c, e = case
+    ops, ref = spec.ops, _TupleOps(spec.char, spec.modulus)
+    x, y, z = map(ops.from_coeffs, (a, b, c))
+    assert all(type(v) is int for v in (x, y, z))
+    assert tuple(map(ops.coeffs, (x, y, z))) == (a, b, c)
+    assert ops.is_zero(x) == (not any(a)) == (x == ops.zero == 0)
+    assert ops.coeffs(ops.add(x, y)) == ref.add(a, b)
+    assert ops.coeffs(ops.sub(x, y)) == ref.sub(a, b)
+    assert ops.coeffs(ops.neg(x)) == ref.neg(a)
+    assert ops.coeffs(ops.mul(x, y)) == ref.mul(a, b)
+    assert ops.coeffs(ops.submul(x, y, z)) == ref.submul(a, b, c)
+    assert ops.coeffs(ops.pow(x, e)) == ref.pow(a, e)
+    if any(a):
+        assert ops.coeffs(ops.inv(x)) == ref.inv(a)
+
+
+def test_packed_extremes_match_tuple_arithmetic():
+    """The largest coefficients, where a slot of a product or a sum is
+    fullest, and the modulus's own lower terms."""
+    for spec in PACKED_FIELDS:
+        p, k = spec.char, spec.degree
+        ops, ref = spec.ops, _TupleOps(p, spec.modulus)
+        top, low = (p - 1,) * k, tuple(spec.modulus[:-1])
+        for a in (top, low, (0,) * (k - 1) + (p - 1,)):
+            for b in (top, low, ref.one):
+                x, y = ops.from_coeffs(a), ops.from_coeffs(b)
+                assert ops.coeffs(ops.mul(x, y)) == ref.mul(a, b)
+                assert ops.coeffs(ops.add(x, y)) == ref.add(a, b)
+                assert ops.coeffs(ops.sub(x, y)) == ref.sub(a, b)
+                assert ops.coeffs(ops.submul(x, x, y)) == ref.submul(a, a, b)
+
+
+@pytest.mark.parametrize("spec", [galois(p, k) for p, k in (
+    (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (2, 12))],
+    ids=str)
+def test_whole_field_enumeration_and_text_round_trip(spec):
+    """Over a whole small field: ``element_from_index`` gives the base-p
+    digits of the index as coefficients, ``index_of`` inverts it, distinct
+    indices give distinct raw ints, and the text of every element parses
+    back to it."""
+    p, k = spec.char, spec.degree
+    seen = set()
+    for i, x in enumerate(spec.elements()):
+        assert spec.ops.coeffs(x.val) == tuple(i // p ** j % p
+                                               for j in range(k))
+        assert spec.index_of(x) == i
+        assert spec.parse_scalar(str(x)) == x
+        seen.add(x.val)
+    assert len(seen) == spec.order
 
 
 def test_frobenius_additive():
@@ -347,6 +481,21 @@ def test_default_modulus_search_limit():
     assert parse_field("GF(2^12;1+x^3+x^12)").degree == 12
     for text in ("GF(65537^2)", "GF(2^33)", "GF(1000003^16)"):
         with pytest.raises(ValueError, match=r"above 2\^32.*give one"):
+            parse_field(text)
+
+
+def test_field_order_limit():
+    """Order 2^512 is the largest a field text may have: up to it a given
+    modulus is read and tested, above it the text is refused unread."""
+    assert FIELD_ORDER_LIMIT == 2 ** 512
+    assert parse_field("GF(2^511;1+x^10+x^511)").degree == 511
+    with pytest.raises(ValueError, match="modulus is reducible"):
+        parse_field("GF(2^512;1+x+x^512)")
+    with pytest.raises(ValueError, match="modulus is reducible"):
+        parse_field("GF(3^323;1+x+x^323)")      # 3^323 < 2^512 < 3^324
+    for text in ("GF(2^513;1+x+x^513)", "GF(3^324;1+x+x^324)",
+                 f"GF({2 ** 521 - 1})", "GF(5^99999999999999;1+x)"):
+        with pytest.raises(ValueError, match=r"above 2\^512, the limit"):
             parse_field(text)
 
 

@@ -11,10 +11,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from nilclose import matrices
+from nilclose import matrices, oracle
 from nilclose.errors import DimensionMismatch, FieldMismatch, MalformedMatrix
 from nilclose.field import Poly, galois, rationals
-from nilclose.jordan import jordan_chevalley
+from nilclose.jordan import (Partition, jordan_chevalley, jordan_matrix,
+                             jordan_partition)
 from nilclose.matrices import (
     ExactMatrix,
     _bareiss_reduce,
@@ -675,3 +676,99 @@ def test_structure_golden(case):
         "rank": _sha(rank(x)),
     }
     assert got == {key: case[key] for key in got}
+
+
+# ---------------------------------------------------------------------------
+# rank-only elimination
+# ---------------------------------------------------------------------------
+
+ECHELON_FIELDS = [galois(2), GF7, galois(1000003), GF4, galois(2, 3),
+                  galois(3, 2), galois(5, 6), galois(2, 12)]
+
+
+def _echelon_input(spec, rng):
+    """Raw rows over spec: rectangular and dense or sparse, or
+    rank-deficient (combinations of fewer rows) with zero rows."""
+    ops = spec.ops
+
+    def element():
+        return spec.element_from_index(rng.randrange(spec.order)).val
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    if rng.random() < 0.4:
+        density = rng.choice([0.3, 1])
+        return [[element() if rng.random() < density else ops.zero
+                 for _ in range(ncols)] for _ in range(nrows)]
+    basis = [[element() for _ in range(ncols)]
+             for _ in range(rng.randint(1, 3))]
+    rows = []
+    for _ in range(nrows):
+        row = [ops.zero] * ncols
+        for b in basis:
+            c = element()
+            row = [ops.add(a, ops.mul(c, x)) for a, x in zip(row, b)]
+        rows.append(row)
+    for _ in range(rng.randint(1, 2)):
+        rows.insert(rng.randrange(len(rows) + 1), [ops.zero] * ncols)
+    return rows
+
+
+@pytest.mark.parametrize("spec", ECHELON_FIELDS, ids=str)
+def test_forward_echelon_counts_the_full_pivots(spec):
+    """Forward ``_echelon``, which keeps each pivot row unscaled, finds the
+    pivot columns of the full reduction; its pivot rows lead at those
+    columns, the rows below them are zero, and adding the reduced rows to
+    the input leaves the rank unchanged."""
+    rng = random.Random(spec.order)
+    ops = spec.ops
+    for _ in range(60):
+        rows = _echelon_input(spec, rng)
+        forward = [list(r) for r in rows]
+        pivots = _echelon(forward, ops, full=False)
+        assert pivots == _echelon([list(r) for r in rows], ops, full=True)
+        for r, col in enumerate(pivots):
+            assert forward[r][col] and not any(forward[r][:col])
+        assert not any(any(row) for row in forward[len(pivots):])
+        assert len(_echelon([list(r) for r in rows + forward], ops,
+                            full=True)) == len(pivots)
+
+
+def _inverse(x):
+    """The inverse of an invertible matrix, by full elimination of [x | I];
+    None for a singular one."""
+    n, ops = x.n, x.spec.ops
+    aug = [list(r) + [ops.one if j == i else ops.zero for j in range(n)]
+           for i, r in enumerate(x._vals)]
+    if _echelon(aug, ops, full=True) != list(range(n)):
+        return None
+    return ExactMatrix._of(x.spec, [r[n:] for r in aug])
+
+
+@pytest.mark.parametrize("spec", [GF4, galois(2, 3), galois(3, 2)], ids=str)
+def test_jordan_partition_of_conjugates_matches_the_oracle(spec):
+    """``jordan_partition`` of P J P^-1, J a nilpotent Jordan matrix and P
+    a random invertible matrix over GF(4), GF(8) or GF(9), is the type of J
+    and agrees with the oracle's numpy kernel on the regular
+    representation over the prime field."""
+    rng = random.Random(spec.order)
+    p, k = spec.char, spec.degree
+    blocks = oracle._regular_blocks(spec)
+    for _ in range(12):
+        n = rng.randint(2, 7)
+        parts, left = [], n
+        while left:
+            parts.append(rng.randint(1, left))
+            left -= parts[-1]
+        part = Partition(parts)
+        while True:
+            pm = ExactMatrix(spec, [[spec.element_from_index(
+                rng.randrange(spec.order)) for _ in range(n)]
+                for _ in range(n)])
+            pinv = _inverse(pm)
+            if pinv is not None:
+                break
+        assert pm * pinv == ExactMatrix.identity(spec, n)
+        x = pm * jordan_matrix(part, n, spec) * pinv
+        assert jordan_partition(x) == part
+        regular = oracle._regular(x, blocks, oracle._dtype(p, n * k))
+        ids, found = oracle._batch_partitions(regular[None], n, k, p)
+        assert found[ids[0]] == part.parts

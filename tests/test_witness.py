@@ -16,7 +16,8 @@ from nilclose.errors import (
     IsCharPower,
     OutOfRange,
 )
-from nilclose.field import galois, geometric_sum, rationals
+from nilclose.field import (FIELD_ORDER_LIMIT, galois, geometric_sum,
+                            parse_field, rationals)
 from nilclose.jordan import Partition, jordan_partition
 from nilclose.matrices import rank
 from nilclose.witness import (
@@ -372,3 +373,20 @@ def test_witness_determinism():
     a = falsify(6, 0, qs([2, 3, 5], 6))
     b = falsify(6, 0, qs([2, 3, 5], 6))
     assert a.to_json() == b.to_json()
+
+
+def test_witness_fields_parse_back_below_the_order_limit():
+    """The field of every witness for q = {2..m}, m <= 20, at n = 40 in
+    characteristics 2 to 13 and 101 prints as a text that parses back to
+    the same field, of order below FIELD_ORDER_LIMIT."""
+    fields = set()
+    for char in (2, 3, 5, 7, 11, 13, 101):
+        for m in range(3, 21):
+            w = falsify(40, char, QSet.parse(
+                ",".join(map(str, range(2, m + 1))), 40))
+            if w is not None:
+                fields.add(w.field)
+    assert any(f.degree > 10 for f in fields)
+    for spec in fields:
+        assert parse_field(str(spec)) == spec
+        assert spec.order <= FIELD_ORDER_LIMIT
