@@ -123,14 +123,17 @@ def _validate_char(char: int) -> None:
 
 
 def anchor_candidates(n: int, char: int) -> list[tuple[int, str]]:
-    """All admissible anchors (m0, branch) in ascending order."""
+    """All admissible anchors (m0, branch) in ascending order: the powers
+    of the characteristic below floor(n/2) + 1, then floor(n/2) + 1 itself
+    if it is at least 2.  There are O(log n) of them."""
     half = n // 2 + 1
     out = []
-    for m in range(2, half + 1):
-        if m == half:
-            out.append((m, "half_n"))
-        elif char > 0 and is_char_power(m, char):
-            out.append((m, "char_power"))
+    m = char
+    while 1 < m < half:
+        out.append((m, "char_power"))
+        m *= char
+    if half >= 2:
+        out.append((half, "half_n"))
     return out
 
 

@@ -27,7 +27,7 @@ import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, zip_longest
+from itertools import chain, count, zip_longest
 from math import gcd
 
 from .errors import (
@@ -791,6 +791,9 @@ def roots_of_unity(spec: FieldSpec, m: int) -> list[Scalar]:
     Over a finite field they are the cyclic subgroup of order
     d = gcd(m, q - 1) of the multiplicative group, generated by the first
     x^((q-1)/d) of exact order d; so no scan of the whole field is needed.
+    Over GF(p^j) the elements outside GF(p), indices p and up, are tried
+    first: with a large p and d not dividing p - 1, no element of GF(p)
+    can work.  The order of the search does not change the subgroup.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -800,7 +803,8 @@ def roots_of_unity(spec: FieldSpec, m: int) -> list[Scalar]:
     q = spec.order
     d = gcd(m, q - 1)
     prime_divisors = [r for r in range(2, d + 1) if d % r == 0 and is_prime(r)]
-    for i in range(1, q):
+    p = spec.char
+    for i in chain(range(p, q), range(1, p)):
         h = spec.element_from_index(i) ** ((q - 1) // d)
         if all(h ** (d // r) != one for r in prime_divisors):
             break

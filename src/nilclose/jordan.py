@@ -1,8 +1,9 @@
 """Nilpotent structure theory: Jordan partitions from the defects of the
-powers, read off the row-space chain R_k = R_(k-1) x without forming any
-power, the closed form for the Jordan type of a polynomial in a single
-nilpotent cell, semisimplicity testing and the Jordan-Chevalley
-decomposition over Q and GF(p^k)."""
+powers, read off the ranks of the row-space chain R_k = R_(k-1) x that
+``matrices._power_ranks`` reduces without forming any power, the closed
+form for the Jordan type of a polynomial in a single nilpotent cell,
+semisimplicity testing and the Jordan-Chevalley decomposition over Q and
+GF(p^k).  No row reduction is written here."""
 
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ from .errors import (
     PartitionTooLarge,
 )
 from .field import FieldSpec, Poly
-from .matrices import (ExactMatrix, _bareiss_reduce, _echelon,
-                       _integer_factors, _product, minimal_polynomial,
+from .matrices import (ExactMatrix, _power_ranks, minimal_polynomial,
                        poly_eval)
 
 _log = logging.getLogger(__name__)
@@ -58,32 +58,11 @@ class Partition:
 
 def _defect_chain(x: ExactMatrix):
     """Defects [def(x^1), ..., def(x^h)] of the powers up to the nilpotency
-    index h, so def(x^h) = n, from the row spaces R_k of x^k: R_0 is the
-    whole space, R_k = R_(k-1) x and def(x^k) = n - dim R_k.  Each step
-    multiplies only the echelon basis of R_(k-1) by x and reduces the
-    products.  Over Q the rows are integer: x is scaled by the lcm of its
-    denominators, which changes no row space, each product row is divided
-    by its gcd and reduced by ``_bareiss_reduce``, and the pivot rows are
-    the basis of R_k.  Raises NotNilpotent when dim R_k stops falling
-    above 0."""
-    n, spec = x.n, x.spec
-    right, lift = _integer_factors(x)
-    rows = ExactMatrix.identity(spec, n)._vals
-    if spec.char == 0:
-        rows = [list(map(int, r)) for r in rows]
-    defects, dim = [], n
-    while dim:
-        if spec.char == 0:
-            pivots = []
-            for row in _product(rows[:dim], None, right, 0):
-                g = math.gcd(*row)
-                _bareiss_reduce([a // g for a in row] if g > 1 else row,
-                                pivots)
-            rows = [row for _, row in pivots]
-            r = len(rows)
-        else:
-            rows = _product(*lift(rows[:dim]), right, spec.ops.zero)
-            r = len(_echelon(rows, spec.ops, full=False))
+    index h, so def(x^h) = n, from the ranks of the row-space chain.
+    Raises NotNilpotent when the rank stops falling above 0."""
+    n = dim = x.n
+    defects = []
+    for r in _power_ranks(x):
         if r == dim:
             raise NotNilpotent(f"matrix of size {n} with nonzero {n}-th power")
         defects.append(n - r)

@@ -6,24 +6,19 @@ immutable and pure.  Entries are stored as the field's raw values
 (``spec.ops``), which every kernel reads and writes; Scalars appear only
 at the public boundary, ``ExactMatrix(spec, rows)`` and ``rows``.
 
-Products run one zero-skipping loop, ``_product``, for every field: any
-number of left rows times a square right factor, both lifted to Python
-ints.  Over Q row i of the left rows is scaled to its common denominator
-d_i and the right factor to one denominator D; over GF(p) an entry is its
-residue; over GF(p^k) its packed int is repacked into slots wide enough for
-a sum of n products (Kronecker substitution).  Each nonzero sum is reduced
-once.  ``*``, the row-space chain behind Jordan partitions and, over Q,
-polynomial evaluation and the powers behind minimal polynomials share the
-loop; ``+``, ``-`` and ``scale`` skip zero entries as well.  Elimination on
-raw values is one routine, ``_echelon``, with first-nonzero pivoting: run
-forward it gives the rank over finite fields, leaving pivot rows unscaled
-and inverting a pivot only when a row below needs it; run in full it gives
-the kernels behind centralizer bases and, over finite fields, minimal
-polynomials.  Over Q, elimination on integer rows is one routine,
-``_bareiss_reduce``, which reduces one row fraction-free (Bareiss) against
-the pivots found so far: it gives the rank, the bases of the row-space
-chain and minimal polynomials.  Polynomial evaluation over Q runs Horner on
-integers, so Fractions are formed only for the results.  Skipping zeros is
+Products run one zero-skipping loop on Python ints, ``_product``: over Q
+each left row is scaled to its common denominator and the right factor to
+one denominator D; over GF(p) an entry is its residue; over GF(p^k) its
+packed int is repacked into slots wide enough for a sum of n products
+(Kronecker substitution).  Each nonzero sum is reduced once.  Row
+reduction takes one row at a time against the pivots found so far, and
+``_arithmetic`` is the one place that picks how: on integer rows,
+fraction-free (Bareiss), over Q, and on raw rows with unscaled pivots,
+``_eliminate``, over finite fields.  Rank, the row-space chain behind
+Jordan types (``_power_ranks``), minimal polynomials and Horner's
+polynomial evaluation are each written once on top of it, so over Q
+Fractions are formed only for results.  Kernels and centralizer bases
+come from the reduced row echelon form, ``_echelon``.  Skipping zeros is
 exact, so no result depends on it.
 """
 
@@ -32,7 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, FieldMismatch, MalformedMatrix
 from .field import FieldSpec, Poly, Scalar, _slot_codec, parse_field
@@ -290,16 +285,41 @@ def _product(left, value, right, zero) -> list[list]:
 
 
 # ---------------------------------------------------------------------------
-# rank / kernel
+# row reduction: one choice of arithmetic per field
 # ---------------------------------------------------------------------------
 
+def _arithmetic(x: ExactMatrix):
+    """(D, times, value, reduce): the one choice of arithmetic for the image
+    rows of x's field.  Over Q an image row is a row of integers, times(rows)
+    is rows times the integer image D*x, value(v, e) is v/e as a Fraction,
+    and reduce divides a row by the gcd of its entries, which changes no
+    row space, and runs ``_bareiss_reduce``.  Over a finite field an image
+    row is a row of raw values, D = 1, times(rows) is rows times x, value(v,
+    e) is v, as e is then 1, and reduce is ``_eliminate``.  Identity rows
+    are 0s and 1s in every field.  reduce(row, pivots) reduces the row
+    against pivots, the (column, row) pairs found so far, each row zero in
+    the earlier pivot columns; a nonzero result enters pivots under its
+    first nonzero column, which is returned, and a zero row returns None."""
+    if x.spec.char == 0:
+        big, right = _integer_image(x)
+
+        def reduce(row, pivots):
+            g = gcd(*row)
+            return _bareiss_reduce([a // g for a in row] if g > 1 else row,
+                                   pivots)
+        return (big, lambda rows: _product(rows, None, right, 0), Fraction,
+                reduce)
+    right, lift = _integer_factors(x)
+    ops = x.spec.ops
+    return (1, lambda rows: _product(*lift(rows), right, ops.zero),
+            lambda v, e: v, lambda row, pivots: _eliminate(row, pivots, ops))
+
+
 def _bareiss_reduce(row: list[int], pivots: list[tuple[int, list[int]]]):
-    """Reduce an integer row fraction-free (Bareiss) against pivots, the
-    (column, row) pairs found so far, each row zero in the earlier pivot
-    columns: step j sets row to (p_j * row - row[c_j] * r_j) / p_(j-1),
-    p_j = r_j[c_j] and p_0 = 1, an exact division that keeps each entry a
-    minor of the input.  A nonzero result enters pivots under its first
-    nonzero column, which is returned; a zero row returns None."""
+    """Reduce an integer row fraction-free (Bareiss) against pivots: step j
+    sets row to (p_j * row - row[c_j] * r_j) / p_(j-1), p_j = r_j[c_j] and
+    p_0 = 1, an exact division that keeps each entry a minor of the input.
+    Pivots and the result as for ``_arithmetic``."""
     prev = 1
     for col, pivot_row in pivots:
         f, pv = row[col], pivot_row[col]
@@ -308,68 +328,88 @@ def _bareiss_reduce(row: list[int], pivots: list[tuple[int, list[int]]]):
         elif pv != prev:
             row = [pv * a // prev for a in row]
         prev = pv
-    col = next((j for j, a in enumerate(row) if a), None)
-    if col is not None:
-        pivots.append((col, row))
-    return col
+    return _enter(row, pivots)
 
 
-def _echelon(m: list[list], ops, full: bool) -> list[int]:
-    """Row-reduce m, rows of raw field values, in place and return the
-    pivot columns.  The pivot of each column is its first nonzero entry
-    at or below the current rank, and the pivot row's nonzero columns are
-    subtracted from each row below it with a nonzero in the pivot column.
-    With ``full`` the pivot row is first scaled to lead with 1 and is
-    subtracted from the rows above as well (reduced row echelon form);
-    without it the row keeps its pivot, each factor is f / pivot, and the
-    pivot's inverse is taken only when some row needs it.  A raw value is
-    false exactly when it is zero, in every field."""
-    mul, submul = ops.mul, ops.submul
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    for col in range(ncols):
-        rank_ = len(pivots)
-        hits = [r for r in range(rank_, nrows) if m[r][col]]
-        if not hits:
-            continue
-        piv, *targets = hits        # the swap moves a zero to row piv
-        if piv != rank_:
-            m[rank_], m[piv] = m[piv], m[rank_]
-        prow = m[rank_]
-        support = [cc for cc in range(col, ncols) if prow[cc]]
-        if full:
-            inv = ops.inv(prow[col])
-            for cc in support:
-                prow[cc] = mul(prow[cc], inv)
-            targets[:0] = [r for r in range(rank_) if m[r][col]]
-        elif targets:
-            inv = ops.inv(prow[col])
-        for r in targets:
-            row = m[r]
-            f = row[col] if full else mul(row[col], inv)
-            for cc in support:
-                row[cc] = submul(row[cc], f, prow[cc])
-        pivots.append(col)
-        if rank_ + 1 == nrows:
-            break
-    return pivots
+def _eliminate(row: list, pivots: list[tuple[int, list]], ops):
+    """Reduce a row of raw values against pivots: subtract f / r_j[c_j]
+    times each pivot row r_j whose column c_j holds f != 0 in the row.
+    Pivot rows stay unscaled, so a pivot is inverted only when a row needs
+    it.  Pivots and the result as for ``_arithmetic``; a raw value is false
+    exactly when it is zero, in every field."""
+    mul, inv, submul = ops.mul, ops.inv, ops.submul
+    for col, pivot_row in pivots:
+        f = row[col]
+        if f:
+            f = mul(f, inv(pivot_row[col]))
+            row = [submul(a, f, b) if b else a
+                   for a, b in zip(row, pivot_row)]
+    return _enter(row, pivots)
+
+
+def _enter(row, pivots):
+    """Append a nonzero reduced row to pivots under its first nonzero
+    column and return that column; None for a zero row.  The entries
+    before the first nonzero one are zero, so ``index`` finds it."""
+    lead = next(filter(None, row), None)
+    if lead is None:
+        return None
+    pivots.append((row.index(lead), row))
+    return pivots[-1][0]
+
+
+def _power_ranks(x: ExactMatrix):
+    """rank(x), rank(x^2), ... from the row spaces R_k of x^k without
+    forming any power: R_0 is the whole space and R_k = R_(k-1) x, so each
+    step multiplies the pivot rows of R_(k-1), a basis, by x and reduces
+    the products; their pivot rows are a basis of R_k.  Stops after rank
+    0, and never when x is not nilpotent."""
+    _, times, _, reduce = _arithmetic(x)
+    rows = [[int(i == j) for j in range(x.n)] for i in range(x.n)]
+    while rows:
+        pivots = []
+        for row in times(rows):
+            reduce(row, pivots)
+        rows = [row for _, row in pivots]
+        yield len(rows)
 
 
 def rank(x: ExactMatrix) -> int:
-    """Exact rank; Bareiss over Q, forward elimination over finite fields."""
-    if x.spec.char == 0:
-        pivots = []
-        for r in x._vals:
-            _bareiss_reduce(_numerators(r, _denominator(r)), pivots)
-        return len(pivots)
-    return len(_echelon(list(map(list, x._vals)), x.spec.ops, full=False))
+    """Exact rank, the first step of the row-space chain."""
+    return next(_power_ranks(x), 0)
+
+
+def _echelon(m: list[list], ops) -> list[int]:
+    """Replace m, rows of raw field values, by the nonzero rows of its
+    reduced row echelon form and return their pivot columns.
+    ``_eliminate`` reduces the rows one at a time; then each pivot row, the
+    last found first, is scaled to lead with 1 and subtracted from the
+    pivot rows found before it.  It is already zero in their columns and,
+    by then, in those of the later ones; so every pivot column ends with a
+    single 1."""
+    mul, inv, submul = ops.mul, ops.inv, ops.submul
+    pivots = []
+    for row in m:
+        _eliminate(row, pivots, ops)
+    for i in range(len(pivots) - 1, -1, -1):
+        col, pivot_row = pivots[i]
+        scale = inv(pivot_row[col])
+        pivot_row = [mul(a, scale) if a else a for a in pivot_row]
+        pivots[i] = col, pivot_row
+        for j, (c, row) in enumerate(pivots[:i]):
+            f = row[col]
+            if f:
+                pivots[j] = c, [submul(a, f, b) if b else a
+                                for a, b in zip(row, pivot_row)]
+    pivots.sort()                   # the columns are distinct
+    m[:] = [row for _, row in pivots]
+    return [col for col, _ in pivots]
 
 
 def _kernel(m: list[list], ops, ncols: int) -> list[list]:
     """Raw kernel basis of the system m (consumed), one vector per free
     column, free columns in ascending order."""
-    pivots = _echelon(m, ops, full=True)
+    pivots = _echelon(m, ops)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [ops.zero] * ncols
@@ -386,44 +426,32 @@ def _kernel(m: list[list], ops, ncols: int) -> list[list]:
 
 def poly_eval(f: Poly, x: ExactMatrix) -> ExactMatrix:
     """Horner evaluation of f at a matrix argument, from the leading
-    coefficient down; adding a coefficient changes only the diagonal.
-
-    Over Q Horner runs on integers.  With X = D*x the integer image of x
-    and C_i = E*c_i the coefficients of f = sum c_i t^i (degree d) over
-    their common denominator E, E*D^d*f(x) = sum C_i*D^(d-i)*X^i; each
-    entry is divided by E*D^d once at the end."""
+    coefficient down, on image rows; adding a coefficient changes only the
+    diagonal.  With X = D*x the image of x and C_i = E*c_i the coefficients
+    of f = sum c_i t^i (degree d) over their common denominator E,
+    E*D^d*f(x) = sum C_i*D^(d-i)*X^i; each entry is divided by E*D^d once
+    at the end.  Over a finite field D = E = 1, as a raw value is an int."""
     if f.spec != x.spec:
         raise FieldMismatch("polynomial over a different field")
     n, spec = x.n, x.spec
     if f.is_zero:
         return ExactMatrix.zeros(spec, n)
-    if spec.char == 0:
-        coeffs = [c.val for c in f.coeffs]
-        den = _denominator(coeffs)
-        *lower, lead = _numerators(coeffs, den)
-        big, right = _integer_image(x)
-        acc = [[lead if i == j else 0 for j in range(n)] for i in range(n)]
-        scale = 1                                   # D^(d-i) at step i
-        for c in reversed(lower):
-            acc = _product(acc, None, right, 0)
-            scale *= big
-            if c:
-                for i, row in enumerate(acc):
-                    row[i] += c * scale
-        den *= scale
-        zero = spec.ops.zero
-        return ExactMatrix._of(spec, [[Fraction(v, den) if v else zero
-                                       for v in row] for row in acc])
-    add = spec.ops.add
-    acc = ExactMatrix.identity(spec, n).scale(f.coeffs[-1])
-    for c in reversed(f.coeffs[:-1]):
-        acc = acc * x
-        if not c.is_zero:
-            rows = [list(r) for r in acc._vals]
-            for i, row in enumerate(rows):
-                row[i] = add(row[i], c.val)
-            acc = ExactMatrix._of(spec, rows)
-    return acc
+    big, times, value, _ = _arithmetic(x)
+    add, zero = spec.ops.add, spec.ops.zero
+    coeffs = [c.val for c in f.coeffs]
+    den = _denominator(coeffs)
+    *lower, lead = _numerators(coeffs, den)
+    acc = [[lead if i == j else 0 for j in range(n)] for i in range(n)]
+    scale = 1                                       # D^(d-i) at step i
+    for c in reversed(lower):
+        acc = times(acc)
+        scale *= big
+        if c:
+            for i, row in enumerate(acc):
+                row[i] = add(row[i], c * scale)
+    den *= scale
+    return ExactMatrix._of(spec, [[value(v, den) if v else zero for v in row]
+                                  for row in acc])
 
 
 def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
@@ -455,37 +483,26 @@ def minimal_polynomial(x: ExactMatrix) -> Poly:
     """Monic least-degree annihilator, the first linear dependency among
     the vectorized powers I, x, ..., x^n (the empty matrix has 1).
 
-    Over Q the powers of the integer image X = D*x enter one at a time,
-    each as the row [vec(X^d) | e_d] whose tail records its combination
-    of I, X, ..., X^d, and are reduced fraction-free (Bareiss) against the
-    pivot rows of the earlier ones.  The first power whose reduced row
-    leads in the tail (column >= n^2) gives sum a_i X^i = 0, so the
-    minimal polynomial is sum a_i D^i t^i / (a_d D^d); by Cayley-Hamilton
-    it comes by d = n.  Over a finite field one elimination of
-    the system of all powers gives it: the kernel vector of the first free
-    column d is monic of degree d, as the rows of later pivots are zero in
-    column d."""
+    The powers of the image X = D*x enter one at a time, each as the row
+    [vec(X^d) | e_d] whose tail records its combination of I, X, ..., X^d,
+    and are reduced against the pivot rows of the earlier ones.  The first
+    power whose reduced row leads in the tail (column >= n^2) gives
+    sum a_i X^i = 0, so the minimal polynomial is
+    sum a_i D^i t^i / (a_d D^d); by Cayley-Hamilton it comes by d = n."""
     n, spec = x.n, x.spec
-    if spec.char == 0:
-        nn = n * n
-        big, right = _integer_image(x)
-        power = [[int(i == j) for j in range(n)] for i in range(n)]
-        pivots = []
-        for d in range(n + 1):
-            row = [a for r in power for a in r] + [0] * (n + 1)
-            row[nn + d] = 1
-            if _bareiss_reduce(row, pivots) >= nn:
-                comb = pivots[-1][1][nn:]
-                return Poly(spec, (spec.box(Fraction(comb[i],
-                                                     comb[d] * big ** (d - i)))
-                                   for i in range(d + 1)))
-            power = _product(power, None, right, 0)
-    powers = [ExactMatrix.identity(spec, n)]
-    for _ in range(n):
-        powers.append(powers[-1] * x)
-    vecs = [[e for row in power._vals for e in row] for power in powers]
-    kernel = _kernel([list(col) for col in zip(*vecs)], spec.ops, n + 1)
-    return Poly(spec, map(spec.box, kernel[0]))
+    nn = n * n
+    big, times, value, reduce = _arithmetic(x)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    pivots, d = [], 0
+    while True:
+        row = [a for r in power for a in r] + [0] * (n + 1)
+        row[nn + d] = 1
+        if reduce(row, pivots) >= nn:
+            break
+        power, d = times(power), d + 1
+    comb = pivots[-1][1][nn:]
+    return Poly(spec, (spec.box(value(comb[i], comb[d] * big ** (d - i)))
+                       for i in range(d + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ from .errors import (
     NotNilpotent,
     OutOfRange,
 )
-from .field import FieldSpec, Poly, galois
+from .field import (MODULUS_SEARCH_LIMIT, FieldSpec, Poly, _order_above,
+                    galois)
 from .jordan import (
     Partition,
     jordan_matrix,
@@ -55,6 +56,7 @@ from .jordan import (
 from .matrices import (
     ExactMatrix,
     _echelon,
+    _eliminate,
     _kernel,
     centralizer_basis,
     poly_eval,
@@ -278,20 +280,23 @@ def _induced_maps(x: ExactMatrix, basis):
     for _ in range(n):
         powers.append(powers[-1] * x)
     # ker X & im X^(s-1) = X^(s-1) ker X^s.  Listed from the deepest level,
-    # the pivot vectors give a basis of ker X whose first vectors span each
-    # of these spaces; those added at level s span a complement, W_s.
+    # the vectors independent of those before them give a basis of ker X
+    # whose first vectors span each of these spaces; those added at level s
+    # span a complement, W_s.
     spanning, levels = [], []
     for s in range(n, 0, -1):
         for u in _kernel([list(r) for r in powers[s]._vals], ops, n):
             spanning.append(_mat_vec(ops, powers[s - 1]._vals, u))
             levels.append(s)
-    pivots = _echelon([list(r) for r in zip(*spanning)], ops, full=False)
+    found = []
+    pivots = [c for c, u in enumerate(spanning)
+              if _eliminate(u, found, ops) is not None]
     vs = [spanning[c] for c in pivots]
     ell = len(vs)
-    # coordinates of every B_i v_a in the basis vs, read off a full echelon
+    # coordinates of every B_i v_a in the basis vs, read off the RREF
     cols = vs + [_mat_vec(ops, b._vals, v) for b in basis for v in vs]
     m = [list(r) for r in zip(*cols)]
-    if _echelon(m, ops, full=True) != list(range(ell)):
+    if _echelon(m, ops) != list(range(ell)):
         raise Inconsistency("a centralizer element leaves ker X")
     sizes, phi, first = [], [], 0
     for s in sorted({levels[c] for c in pivots}, reverse=True):
@@ -310,7 +315,7 @@ def _solve_onto(phi: list[list], ops, d: int):
     e_rows = len(phi)
     aug = [row + [ops.one if j == e else ops.zero for j in range(e_rows)]
            for e, row in enumerate(phi)]
-    pivots = _echelon(aug, ops, full=True)
+    pivots = _echelon(aug, ops)
     if pivots[-1] >= d:
         raise Inconsistency("the induced maps are not onto")
     right = [[ops.zero] * e_rows for _ in range(d)]
@@ -689,16 +694,22 @@ def cross_validate(n: int, char: int, degrees, q_range="all",
     every feasible degree d (a violation is a fatal inconsistency).
     Rejected q-sets must be falsified by a self-verifying witness.  A pass
     over one small field never contradicts a rejection: counterexamples may
-    need extension fields, so that direction is not checked.
+    need extension fields, so that direction is not checked.  A degree d
+    with char^d above MODULUS_SEARCH_LIMIT is refused (OutOfRange) before
+    any work, as ``parse_field`` refuses GF(char^d) without a modulus.
     """
     if char == 0:
         raise InfiniteField("cross validation runs the oracle over "
                             "GF(char^d), which needs a prime char, not 0")
+    degrees = tuple(degrees)
+    for d in degrees:
+        if _order_above(char, d, MODULUS_SEARCH_LIMIT):
+            raise OutOfRange(f"GF({char}^{d}) has order above 2^32, the limit "
+                             f"for a field with the default modulus")
     if q_range == "all":
         qs = all_qsets(n)
     else:
         qs = list(q_range)
-    degrees = tuple(degrees)
     accepted, rejected, skipped = [], [], []
     oracle_passes = witnesses = 0
     for q in qs:

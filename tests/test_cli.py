@@ -251,6 +251,18 @@ def test_oversized_cells_are_refused_at_once(capsys, tmp_path, field, cell,
     assert err.startswith("MalformedMatrix: ") and message in err
 
 
+@pytest.mark.parametrize("degrees", ["1000", "1000000000"])
+def test_cross_validate_refuses_huge_degrees_at_once(capsys, degrees):
+    """A degree past the default-modulus limit is a domain error at once,
+    not a modulus search before the q-set is listed as skipped."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cross-validate", "--n", "2", "--char", "2",
+                         "--degrees", degrees)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith(f"OutOfRange: GF(2^{degrees}) has order above 2^32")
+
+
 def test_oversized_modulus_is_usage_error_at_once(capsys):
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:

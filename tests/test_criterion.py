@@ -1,6 +1,8 @@
 """The acceptance criterion for cell-size sets and the membership
 predicates for the associated matrix classes."""
 
+import time
+
 import pytest
 
 from nilclose.criterion import (
@@ -54,6 +56,38 @@ def test_anchor_candidates():
     assert anchor_candidates(4, 0) == [(3, "half_n")]
     assert anchor_candidates(4, 2) == [(2, "char_power"), (3, "half_n")]
     assert anchor_candidates(9, 3) == [(3, "char_power"), (5, "half_n")]
+
+
+def _scanned_anchor_candidates(n, char):
+    """The anchors found by testing every size from 2 to floor(n/2) + 1."""
+    half = n // 2 + 1
+    out = []
+    for m in range(2, half + 1):
+        if m == half:
+            out.append((m, "half_n"))
+        elif char > 0 and is_char_power(m, char):
+            out.append((m, "char_power"))
+    return out
+
+
+def test_anchor_candidates_match_a_scan_of_every_size():
+    for char in (0, 2, 3, 5, 7, 11, 1000003):
+        for n in range(300):
+            assert anchor_candidates(n, char) == \
+                _scanned_anchor_candidates(n, char), (n, char)
+
+
+def test_anchor_candidates_take_logarithmic_time():
+    """The anchors are listed, not searched for among all sizes up to n/2,
+    so a dimension of 10^18 is answered at once."""
+    n = 10 ** 18
+    start = time.perf_counter()
+    anchors = anchor_candidates(n, 3)
+    result = check_criterion(n, 3, QSet.parse("2,3", n))
+    assert time.perf_counter() - start < 1
+    assert anchors == [(3 ** k, "char_power") for k in range(1, 38)] + [
+        (n // 2 + 1, "half_n")]
+    assert result.accepted and result.m0 == 3
 
 
 def test_check_criterion_examples():

@@ -2,6 +2,7 @@
 closed form for polynomials of a single cell, semisimplicity and the
 semisimple-plus-nilpotent decomposition."""
 
+import ast
 import json
 import logging
 import math
@@ -412,6 +413,25 @@ def test_jordan_partition_forms_no_power(monkeypatch):
     with pytest.raises(NotNilpotent):
         jordan_partition(ExactMatrix.identity(GF7, 3))
     assert calls == []
+
+
+def test_jordan_imports_only_the_power_ranks_from_matrices():
+    """Jordan types come from the ranks of the row-space chain, so the only
+    private name that ``jordan`` takes from ``matrices`` is ``_power_ranks``;
+    products, integer images and elimination stay behind it."""
+    tree = ast.parse(Path(jordan.__file__).read_text(encoding="utf-8"))
+    private = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name != "nilclose.matrices" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("nilclose")
+            if module.removeprefix(".") == "matrices":
+                private |= {a.name for a in node.names
+                            if a.name.startswith("_")}
+            elif not module:            # from . import matrices
+                assert all(a.name != "matrices" for a in node.names)
+    assert private == {"_power_ranks"}
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from nilclose.matrices import (
     ExactMatrix,
     _bareiss_reduce,
     _echelon,
+    _eliminate,
     _kernel,
     centralizer_basis,
     load_matrix,
@@ -109,8 +110,9 @@ def test_rank_agrees_across_backends():
 
 def test_rank_product_inequality():
     """Sylvester's bound, and rank-nullity across the two elimination
-    routines: ``rank`` (``_bareiss_reduce`` over Q, forward ``_echelon``
-    over GF(7)) against the kernel from full ``_echelon``."""
+    routines: ``rank`` (``_bareiss_reduce`` over Q, ``_eliminate`` over
+    GF(7)) against the kernel from the reduced row echelon form of
+    ``_echelon``, which reduces Fractions over Q."""
     rng = random.Random(17)
     for spec, lo, hi in ((GF7, 0, 6), (Q, -3, 3)):
         for _ in range(50):
@@ -147,7 +149,7 @@ def _bareiss_input(rng):
 
 def test_bareiss_reduce_spans_the_row_space():
     """``_bareiss_reduce``, the fraction-free elimination behind ``rank``,
-    the defect chain and minimal polynomials over Q.  Fed the rows one by
+    the row-space chain and minimal polynomials over Q.  Fed the rows one by
     one, each pivot row leads at its recorded column and is zero in the
     columns of the earlier pivots; each of its entries is the minor of the
     input rows that made the pivots so far, on their pivot columns and
@@ -173,7 +175,7 @@ def test_bareiss_reduce_spans_the_row_space():
 
         def rank_over_q(int_rows):
             return len(_echelon([[Fraction(a) for a in r] for r in int_rows],
-                                ops, full=False))
+                                ops))
         assert rank_over_q(rows) == rank_over_q(
             rows + [r for _, r in pivots]) == len(pivots)
 
@@ -264,9 +266,12 @@ def test_zero_skipping_kernels_match_dense_reference(spec):
             nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
             rows = _sparse_rows(spec, nrows, ncols, density, rng)
             reduced = [[a.val for a in r] for r in rows]
-            pivots = _echelon(reduced, spec.ops, full=True)
-            assert ([[spec.box(a) for a in r] for r in reduced], pivots) \
-                == _dense_rref(rows)
+            pivots = _echelon(reduced, spec.ops)
+            dense, dense_pivots = _dense_rref(rows)
+            assert pivots == dense_pivots
+            assert [[spec.box(a) for a in r] for r in reduced] \
+                == dense[:len(pivots)]
+            assert all(a.is_zero for r in dense[len(pivots):] for a in r)
             kernel = [[spec.box(v) for v in vec] for vec in _kernel(
                 [[a.val for a in r] for r in rows], spec.ops, ncols)]
             assert kernel == _dense_nullspace(rows, spec, ncols)
@@ -405,28 +410,17 @@ def _counting_kernel(monkeypatch):
     return calls
 
 
-def test_minimal_polynomial_runs_one_kernel(monkeypatch):
-    """Over a finite field one elimination of the system of all powers
-    I, x, ..., x^n gives the minimal polynomial, whatever its degree."""
-    calls = _counting_kernel(monkeypatch)
-    cases = [
-        (ExactMatrix.identity(GF7, 4), Poly.from_ints(GF7, [-1, 1])),
-        (jcell(GF4, 3), Poly.from_ints(GF4, [0, 0, 0, 1])),
-    ]
-    for x, expected in cases:
-        calls.clear()
-        assert minimal_polynomial(x) == expected
-        assert len(calls) == 1
-
-
-def test_minimal_polynomial_over_q_runs_no_kernel(monkeypatch):
-    """Over Q the powers are reduced on integers as they come, with no
-    kernel of a Fraction system."""
+def test_minimal_polynomial_runs_no_kernel(monkeypatch):
+    """In every field the powers are reduced as they come, and the first
+    dependency ends the loop, with no kernel of the system of all powers."""
     calls = _counting_kernel(monkeypatch)
     cases = [
         (ExactMatrix(Q, []), Poly.one(Q)),
         (ExactMatrix.from_ints(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
          Poly.from_ints(Q, [2, -3, 1])),
+        (ExactMatrix(GF7, []), Poly.one(GF7)),
+        (ExactMatrix.identity(GF7, 4), Poly.from_ints(GF7, [-1, 1])),
+        (jcell(GF4, 3), Poly.from_ints(GF4, [0, 0, 0, 1])),
     ]
     for x, expected in cases:
         assert minimal_polynomial(x) == expected
@@ -489,16 +483,15 @@ def test_json_round_trip_and_rank_bounds(pair):
 
 
 def _reference_minimal_polynomial(x):
-    """The kernel vector of the first free column of the system of all
-    powers I, x, ..., x^n, formed with ``*``: the finite-field method,
-    here on Fractions over Q."""
+    """The first vector of the dense null space of the system of all
+    powers I, x, ..., x^n, formed with ``*``."""
     n, spec = x.n, x.spec
     powers = [ExactMatrix.identity(spec, n)]
     for _ in range(n):
         powers.append(powers[-1] * x)
-    vecs = [[e for row in power._vals for e in row] for power in powers]
-    kernel = _kernel([list(col) for col in zip(*vecs)], spec.ops, n + 1)
-    return Poly(spec, map(spec.box, kernel[0]))
+    vecs = [[e for row in power.rows for e in row] for power in powers]
+    return Poly(spec, _dense_nullspace([list(col) for col in zip(*vecs)],
+                                       spec, n + 1)[0])
 
 
 def _reference_poly_eval(f, x):
@@ -511,53 +504,86 @@ def _reference_poly_eval(f, x):
 
 
 _FRACTION = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+FINITE_REFERENCE_FIELDS = [GF7, GF4, galois(2, 3)]
+
+
+def _element(spec):
+    """Any element of a finite field; over Q a fraction of absolute value
+    <= 20 with denominator <= 12."""
+    if spec.is_finite:
+        return st.integers(0, spec.order - 1).map(spec.element_from_index)
+    return _FRACTION.map(spec.scalar)
 
 
 @st.composite
-def _rational_matrix(draw):
-    """An n x n matrix over Q with fractional entries, n <= 6: sparse,
-    or the direct sum of a matrix with itself plus a scalar, whose
-    minimal polynomial has degree below n."""
-    entry = st.one_of(st.just(Fraction(0)), _FRACTION)
+def _square_matrix(draw, spec):
+    """An n x n matrix over spec, n <= 6: sparse, or the direct sum of a
+    matrix with itself plus a scalar, whose minimal polynomial has degree
+    below n."""
+    entry = st.one_of(st.just(spec.zero()), _element(spec))
     if draw(st.booleans()):
         n = draw(st.integers(0, 6))
-        return ExactMatrix(Q, [[Q.scalar(draw(entry)) for _ in range(n)]
-                               for _ in range(n)])
+        return ExactMatrix(spec, [[draw(entry) for _ in range(n)]
+                                  for _ in range(n)])
     m = draw(st.integers(1, 3))
-    a = ExactMatrix(Q, [[Q.scalar(draw(entry)) for _ in range(m)]
-                        for _ in range(m)])
-    return (ExactMatrix.block_diag(Q, [a, a])
-            + ExactMatrix.identity(Q, 2 * m).scale(Q.scalar(draw(_FRACTION))))
+    a = ExactMatrix(spec, [[draw(entry) for _ in range(m)] for _ in range(m)])
+    return (ExactMatrix.block_diag(spec, [a, a])
+            + ExactMatrix.identity(spec, 2 * m).scale(draw(_element(spec))))
 
 
 @st.composite
-def _rational_poly(draw):
-    """A polynomial over Q of degree <= 6 with fractional coefficients,
-    often with zero low-order terms."""
+def _polynomial(draw, spec):
+    """A polynomial over spec of degree <= 6, often with zero low-order
+    terms."""
     low = draw(st.integers(0, 3))
-    coeffs = draw(st.lists(_FRACTION, max_size=7 - low))
-    return Poly(Q, map(Q.scalar, [0] * low + coeffs))
+    coeffs = draw(st.lists(_element(spec), max_size=7 - low))
+    return Poly(spec, [spec.zero()] * low + coeffs)
 
 
-def _assert_identical_matrices(a, b):
-    assert a == b and a._vals == b._vals
-    assert all(type(v) is Fraction for row in a._vals for v in row)
+def _finite_field_case(*parts):
+    """Strategies drawn over one field of FINITE_REFERENCE_FIELDS."""
+    return st.sampled_from(FINITE_REFERENCE_FIELDS).flatmap(
+        lambda spec: st.tuples(*(part(spec) for part in parts)))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_rational_matrix())
-def test_minimal_polynomial_over_q_matches_reference(x):
+def _assert_minimal_polynomial(x, raw_type):
     f = minimal_polynomial(x)
     expected = _reference_minimal_polynomial(x)
     assert f == expected and str(f) == str(expected)
-    assert all(type(c.val) is Fraction for c in f.coeffs)
+    assert all(type(c.val) is raw_type for c in f.coeffs)
     assert poly_eval(f, x).is_zero
 
 
+def _assert_identical_matrices(a, b, raw_type):
+    assert a == b and a._vals == b._vals
+    assert all(type(v) is raw_type for row in a._vals for v in row)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_rational_poly(), _rational_matrix())
+@given(_square_matrix(Q))
+def test_minimal_polynomial_over_q_matches_reference(x):
+    _assert_minimal_polynomial(x, Fraction)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_finite_field_case(_square_matrix))
+def test_minimal_polynomial_over_finite_fields_matches_reference(case):
+    _assert_minimal_polynomial(*case, int)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_polynomial(Q), _square_matrix(Q))
 def test_poly_eval_over_q_matches_reference(f, x):
-    _assert_identical_matrices(poly_eval(f, x), _reference_poly_eval(f, x))
+    _assert_identical_matrices(poly_eval(f, x), _reference_poly_eval(f, x),
+                               Fraction)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_finite_field_case(_polynomial, _square_matrix))
+def test_poly_eval_over_finite_fields_matches_reference(case):
+    f, x = case
+    _assert_identical_matrices(poly_eval(f, x), _reference_poly_eval(f, x),
+                               int)
 
 
 def test_json_file_round_trip(tmp_path):
@@ -714,22 +740,30 @@ def _echelon_input(spec, rng):
 
 @pytest.mark.parametrize("spec", ECHELON_FIELDS, ids=str)
 def test_forward_echelon_counts_the_full_pivots(spec):
-    """Forward ``_echelon``, which keeps each pivot row unscaled, finds the
-    pivot columns of the full reduction; its pivot rows lead at those
-    columns, the rows below them are zero, and adding the reduced rows to
-    the input leaves the rank unchanged."""
+    """``_eliminate``, fed the rows one at a time with its pivot rows kept
+    unscaled, enters exactly the rows that the earlier ones do not span,
+    and their pivot columns are those of the reduced row echelon form of a
+    dense Gauss-Jordan elimination.  Each pivot row leads at its column and
+    is zero in the columns of the pivots found before it; ``_echelon`` of
+    the pivot rows gives that reduced form, so they span the row space."""
     rng = random.Random(spec.order)
     ops = spec.ops
     for _ in range(60):
         rows = _echelon_input(spec, rng)
-        forward = [list(r) for r in rows]
-        pivots = _echelon(forward, ops, full=False)
-        assert pivots == _echelon([list(r) for r in rows], ops, full=True)
-        for r, col in enumerate(pivots):
-            assert forward[r][col] and not any(forward[r][:col])
-        assert not any(any(row) for row in forward[len(pivots):])
-        assert len(_echelon([list(r) for r in rows + forward], ops,
-                            full=True)) == len(pivots)
+        boxed = [[spec.box(a) for a in r] for r in rows]
+        rref, full = _dense_rref(boxed)
+        ranks = [len(_dense_rref(boxed[:i])[1]) for i in range(len(rows) + 1)]
+        pivots = []
+        for i, row in enumerate(rows):
+            entered = _eliminate(list(row), pivots, ops) is not None
+            assert entered == (ranks[i + 1] > ranks[i])
+        assert sorted(col for col, _ in pivots) == full
+        for j, (col, prow) in enumerate(pivots):
+            assert prow[col] and not any(prow[:col])
+            assert not any(prow[c] for c, _ in pivots[:j])
+        reduced = [list(prow) for _, prow in pivots]
+        assert _echelon(reduced, ops) == full
+        assert [[spec.box(a) for a in r] for r in reduced] == rref[:len(full)]
 
 
 def _inverse(x):
@@ -738,7 +772,7 @@ def _inverse(x):
     n, ops = x.n, x.spec.ops
     aug = [list(r) + [ops.one if j == i else ops.zero for j in range(n)]
            for i, r in enumerate(x._vals)]
-    if _echelon(aug, ops, full=True) != list(range(n)):
+    if _echelon(aug, ops) != list(range(n)):
         return None
     return ExactMatrix._of(x.spec, [r[n:] for r in aug])
 

@@ -19,6 +19,7 @@ from nilclose.errors import (
     Inconsistency,
     InfiniteField,
     NotNilpotent,
+    OutOfRange,
 )
 from nilclose.field import galois, rationals
 from nilclose.jordan import Partition, jordan_partition
@@ -409,6 +410,23 @@ def test_cross_validate_refuses_char_zero(monkeypatch):
         with pytest.raises(InfiniteField) as exc:
             cross_validate(3, 0, degrees)
         assert "GF(char^d)" in str(exc.value)
+
+
+def test_cross_validate_refuses_a_degree_past_the_modulus_limit(
+        monkeypatch):
+    """A degree d with char^d above 2^32, where ``parse_field`` searches no
+    default modulus, is refused before any field is built or any q-set is
+    checked; 2^32 itself is allowed."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the degrees were checked")
+    for name in ("galois", "check_criterion", "falsify"):
+        monkeypatch.setattr(oracle, name, fail)
+    for degrees, field in (([1, 33], "GF(2^33)"),
+                           ([10 ** 9], "GF(2^1000000000)")):
+        with pytest.raises(OutOfRange) as exc:
+            cross_validate(2, 2, degrees)
+        assert str(exc.value).startswith(field) and "2^32" in str(exc.value)
+    assert cross_validate(2, 2, [32], q_range=[]).degrees == (32,)
 
 
 def test_random_poly_retries_without_recursion():

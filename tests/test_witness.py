@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -390,3 +391,16 @@ def test_witness_fields_parse_back_below_the_order_limit():
     for spec in fields:
         assert parse_field(str(spec)) == spec
         assert spec.order <= FIELD_ORDER_LIMIT
+
+
+def test_witness_over_a_large_prime_finds_its_roots_outside_gf_p():
+    """q = {2..13} at n = 26 in characteristic 1000003 is falsified over
+    GF(1000003^6).  The order of an element of GF(p) divides p - 1, so
+    the root search tries the other elements first and the verified
+    witness comes in well under 5 s, not after a scan of GF(p)."""
+    q = QSet.parse(",".join(map(str, range(2, 14))), 26)
+    start = time.perf_counter()
+    w = falsify(26, 1000003, q)
+    assert time.perf_counter() - start < 5
+    assert str(w.field) == "GF(1000003^6;4+x^6)"
+    verify_witness(w, q)
