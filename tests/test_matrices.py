@@ -410,17 +410,44 @@ def _counting_kernel(monkeypatch):
     return calls
 
 
-def test_minimal_polynomial_runs_no_kernel(monkeypatch):
-    """In every field the powers are reduced as they come, and the first
-    dependency ends the loop, with no kernel of the system of all powers."""
+def test_minimal_polynomial_runs_one_kernel(monkeypatch):
+    """Over a finite field the minimal polynomial is the one kernel vector
+    of the system of the powers I, x, ..., x^n that the incremental
+    elimination meets first: powers are reduced as they come and the first
+    dependency ends the loop, so x^0, ..., x^d are reduced for degree d,
+    and ``_kernel`` of the whole system never runs."""
+    calls = _counting_kernel(monkeypatch)
+    reduced = []
+    arithmetic = matrices._arithmetic
+
+    def counting_arithmetic(x):
+        big, times, value, reduce = arithmetic(x)
+
+        def counting_reduce(row, pivots):
+            reduced.append(1)
+            return reduce(row, pivots)
+        return big, times, value, counting_reduce
+    monkeypatch.setattr(matrices, "_arithmetic", counting_arithmetic)
+    cases = [
+        (ExactMatrix(GF7, []), Poly.one(GF7)),
+        (ExactMatrix.identity(GF7, 4), Poly.from_ints(GF7, [-1, 1])),
+        (jcell(GF4, 3), Poly.from_ints(GF4, [0, 0, 0, 1])),
+    ]
+    for x, expected in cases:
+        reduced.clear()
+        assert minimal_polynomial(x) == expected
+        assert len(reduced) == expected.degree + 1
+    assert calls == []
+
+
+def test_minimal_polynomial_over_q_runs_no_kernel(monkeypatch):
+    """Over Q the powers are reduced on integers as they come, with no
+    kernel of a Fraction system."""
     calls = _counting_kernel(monkeypatch)
     cases = [
         (ExactMatrix(Q, []), Poly.one(Q)),
         (ExactMatrix.from_ints(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
          Poly.from_ints(Q, [2, -3, 1])),
-        (ExactMatrix(GF7, []), Poly.one(GF7)),
-        (ExactMatrix.identity(GF7, 4), Poly.from_ints(GF7, [-1, 1])),
-        (jcell(GF4, 3), Poly.from_ints(GF4, [0, 0, 0, 1])),
     ]
     for x, expected in cases:
         assert minimal_polynomial(x) == expected
