@@ -8,16 +8,17 @@ substitution, as for matrix products): a product is one int multiply whose
 slots are read once, a sum one int addition reduced slot-wise.  In every
 field the raw zero is the only false raw value.  ``Scalar`` is a thin
 immutable facade that pairs a raw value with its field and delegates every
-operation to the ops object; matrices store raw values and their kernels
-call the ops object directly.  Each ops object has one ``pow``; GF(p^k)
-inverses are Fermat's a^(p^k - 2), cached per field, as GF(p) ones are
-a^(p - 2).  The default extension modulus is the least irreducible by
-Rabin's test, and primality is a Miller-Rabin test that is exact below
-PRIMALITY_LIMIT.  ``parse_field`` searches the default modulus only for
-orders up to MODULUS_SEARCH_LIMIT, and takes no field of order above
-FIELD_ORDER_LIMIT.  The module also provides the roots-of-unity search, the
-extension-degree computation needed to realize those roots, and the
-geometric sums that control the block constructions in the witness module.
+operation to the ops object; matrices and polynomials store raw values and
+call the ops object directly, and the polynomial Euclid makes each
+remainder monic, so Q coefficients do not grow.  Each ops object has one
+``pow``; GF(p^k) inverses are Fermat's a^(p^k - 2), cached per field, as
+GF(p) ones are a^(p - 2).  The default extension modulus is the least
+irreducible by Rabin's test, and primality is a Miller-Rabin test that is
+exact below PRIMALITY_LIMIT.  ``parse_field`` searches the default modulus
+only for orders up to MODULUS_SEARCH_LIMIT, and takes no field of order
+above FIELD_ORDER_LIMIT.  The module also provides the roots-of-unity
+search, the extension-degree computation needed to realize those roots, and
+the geometric sums that control the block constructions in the witness module.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count, zip_longest
+from itertools import accumulate, chain, count, repeat, starmap, zip_longest
 from math import gcd
 
 from .errors import (
@@ -112,15 +113,19 @@ def _gfp_irreducible(f, p) -> bool:
         frobenius.append(ops.pow(frobenius[-1], p))
     gfp = FieldSpec(p)
     return frobenius[k] == t and all(
-        Poly.from_ints(gfp, f).gcd(Poly.from_ints(
+        Poly._of(gfp, f).gcd(Poly._of(
             gfp, ops.coeffs(ops.sub(frobenius[k // r], t)))).degree == 0
         for r in range(2, k + 1) if k % r == 0 and is_prime(r))
 
 
 @lru_cache(maxsize=None)
 def default_modulus(p: int, k: int):
-    """Lexicographically least monic irreducible of degree k over GF(p)."""
-    for v in range(p ** k):
+    """Lexicographically least monic irreducible of degree k over GF(p).
+    Its first p candidates, x^k + c, are skipped unless every prime factor
+    of k divides p - 1 (so k | (p - 1)^k), and 4 | p - 1 if 4 | k: Lidl and
+    Niederreiter, Finite Fields, Thm 3.75."""
+    binomials = pow(p - 1, k, k) == 0 and (k % 4 or p % 4 == 1)
+    for v in range(0 if binomials else p, p ** k):
         cand = tuple(_digits(v, p, k)) + (1,)
         if _gfp_irreducible(cand, p):
             return cand
@@ -618,18 +623,25 @@ def parse_field(text: str) -> FieldSpec:
 class Poly:
     """Dense polynomial over a FieldSpec, lowest degree first, trimmed."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "vals")
 
-    def __init__(self, spec: FieldSpec, coeffs):
+    def __new__(cls, spec: FieldSpec, coeffs):
         coeffs = tuple(coeffs)
         for c in coeffs:
             if c.spec != spec:
                 raise FieldMismatch("coefficient from a different field")
-        n = len(coeffs)
-        while n > 0 and coeffs[n - 1].is_zero:
+        return cls._of(spec, [c.val for c in coeffs])
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, vals) -> "Poly":
+        """Unchecked: raw values of spec, lowest degree first."""
+        n = len(vals)
+        while n > 0 and not vals[n - 1]:    # only the raw zero is false
             n -= 1
+        self = object.__new__(cls)
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", coeffs[:n])
+        object.__setattr__(self, "vals", tuple(vals[:n]))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -640,26 +652,30 @@ class Poly:
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, ())
+        return cls._of(spec, ())
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, (spec.one(),))
+        return cls._of(spec, (spec.ops.one,))
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(map(self.spec.box, self.vals))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vals
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.vals) - 1
 
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient."""
         if self.is_zero:
             raise ZeroPolynomial("valuation of the zero polynomial")
-        return next(i for i, c in enumerate(self.coeffs) if not c.is_zero)
+        return next(i for i, c in enumerate(self.vals) if c)
 
     def _check(self, other: "Poly"):
         if self.spec != other.spec:
@@ -667,57 +683,54 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.spec == other.spec
-                and self.coeffs == other.coeffs)
+                and self.vals == other.vals)
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self.vals))
 
     def __add__(self, other):
         self._check(other)
-        return Poly(self.spec, [x + y for x, y in zip_longest(
-            self.coeffs, other.coeffs, fillvalue=self.spec.zero())])
+        return Poly._of(self.spec, list(starmap(self.spec.ops.add, zip_longest(
+            self.vals, other.vals, fillvalue=self.spec.ops.zero))))
 
     def __sub__(self, other):
         self._check(other)
-        return Poly(self.spec, [x - y for x, y in zip_longest(
-            self.coeffs, other.coeffs, fillvalue=self.spec.zero())])
-
-    def __neg__(self):
-        return Poly(self.spec, [-c for c in self.coeffs])
+        return Poly._of(self.spec, list(starmap(self.spec.ops.sub, zip_longest(
+            self.vals, other.vals, fillvalue=self.spec.ops.zero))))
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.spec)
-        zero = self.spec.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
+        add, mul = self.spec.ops.add, self.spec.ops.mul
+        out = [self.spec.ops.zero] * (len(self.vals) + len(other.vals) - 1)
+        for i, a in enumerate(self.vals):
+            if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.spec, out)
+            for j, b in enumerate(other.vals):
+                out[i + j] = add(out[i + j], mul(a, b))
+        return Poly._of(self.spec, out)
 
-    def scale(self, c: Scalar) -> "Poly":
-        return Poly(self.spec, [c * x for x in self.coeffs])
+    def _scale(self, c) -> "Poly":         # c a raw value
+        mul = self.spec.ops.mul
+        return Poly._of(self.spec, [mul(c, x) for x in self.vals])
 
     def __divmod__(self, other: "Poly"):
         self._check(other)
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
+        ops = self.spec.ops
+        mul, submul = ops.mul, ops.submul
+        rem = list(self.vals)
         db = other.degree
-        inv_lead = other.coeffs[-1].inverse()
-        zero = self.spec.zero()
-        quo = [zero] * max(len(rem) - db, 0)
+        inv_lead = ops.inv(other.vals[-1])
+        quo = [ops.zero] * max(len(rem) - db, 0)
         for i in range(len(rem) - 1, db - 1, -1):
-            coef = rem[i] * inv_lead
-            if coef.is_zero:
+            coef = mul(rem[i], inv_lead)
+            if not coef:
                 continue
             quo[i - db] = coef
-            for j, bj in enumerate(other.coeffs):
-                rem[i - db + j] = rem[i - db + j] - coef * bj
-        return Poly(self.spec, quo), Poly(self.spec, rem[:db] if db > 0 else ())
+            for j, bj in enumerate(other.vals):
+                rem[i - db + j] = submul(rem[i - db + j], coef, bj)
+        return Poly._of(self.spec, quo), Poly._of(self.spec, rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -726,50 +739,48 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if self.is_zero or self.vals[-1] == self.spec.ops.one:
             return self
-        lead = self.coeffs[-1]
-        if lead == self.spec.one():
-            return self
-        return self.scale(lead.inverse())
+        return self._scale(self.spec.ops.inv(self.vals[-1]))
 
     def derivative(self) -> "Poly":
-        return Poly(self.spec, [self.spec.from_int(i) * c
-                                for i, c in enumerate(self.coeffs) if i])
+        ops = self.spec.ops                 # the raw i is the sum of i ones
+        ints = accumulate(repeat(ops.one, self.degree), ops.add)
+        return Poly._of(self.spec, list(map(ops.mul, ints, self.vals[1:])))
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
+        """Monic greatest common divisor; every remainder is made monic."""
         self._check(other)
         a, b = self, other
         while not b.is_zero:
-            a, b = b, a % b
+            a, b = b, (a % b).monic()
         return a.monic()
 
     def xgcd(self, other: "Poly"):
-        """(g, u, v) with u*self + v*other = g, g monic."""
+        """(g, u, v) with u*self + v*other = g, g monic; each remainder is
+        made monic, and its two cofactors are scaled with it."""
         self._check(other)
-        spec = self.spec
-        r0, r1 = self, other
-        s0, s1 = Poly.one(spec), Poly.zero(spec)
-        t0, t1 = Poly.zero(spec), Poly.one(spec)
+        spec, ops = self.spec, self.spec.ops
+
+        def normalised(r, s, t):
+            c = ops.inv(r.vals[-1]) if r.vals else ops.one
+            return r._scale(c), s._scale(c), t._scale(c)
+        r0, s0, t0 = self, Poly.one(spec), Poly.zero(spec)
+        r1, s1, t1 = other, Poly.zero(spec), Poly.one(spec)
         while not r1.is_zero:
             q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero:
-            return r0, s0, t0
-        lead_inv = r0.coeffs[-1].inverse()
-        return r0.scale(lead_inv), s0.scale(lead_inv), t0.scale(lead_inv)
+            (r0, s0, t0), (r1, s1, t1) = (r1, s1, t1), normalised(
+                r, s0 - q * s1, t0 - q * t1)
+        return normalised(r0, s0, t0)
 
     def __str__(self):
         if self.is_zero:
             return "0"
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
+        for i, c in enumerate(self.vals):
+            if not c:
                 continue
-            cs = str(c)
+            cs = self.spec.format(c)
             if i == 0:
                 terms.append(cs)
             else:

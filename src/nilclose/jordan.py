@@ -121,10 +121,7 @@ def _pth_root_poly(f: Poly) -> Poly:
     spec = f.spec
     p = spec.char
     root_exp = p ** (spec.degree - 1)  # a -> a^(p^(k-1)) inverts a -> a^p
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(f.coeffs[i] ** root_exp)
-    return Poly(spec, out)
+    return Poly._of(spec, [spec.ops.pow(c, root_exp) for c in f.vals[::p]])
 
 
 def squarefree_part(f: Poly) -> Poly:

@@ -438,9 +438,8 @@ def poly_eval(f: Poly, x: ExactMatrix) -> ExactMatrix:
         return ExactMatrix.zeros(spec, n)
     big, times, value, _ = _arithmetic(x)
     add, zero = spec.ops.add, spec.ops.zero
-    coeffs = [c.val for c in f.coeffs]
-    den = _denominator(coeffs)
-    *lower, lead = _numerators(coeffs, den)
+    den = _denominator(f.vals)
+    *lower, lead = _numerators(f.vals, den)
     acc = [[lead if i == j else 0 for j in range(n)] for i in range(n)]
     scale = 1                                       # D^(d-i) at step i
     for c in reversed(lower):
@@ -501,8 +500,8 @@ def minimal_polynomial(x: ExactMatrix) -> Poly:
             break
         power, d = times(power), d + 1
     comb = pivots[-1][1][nn:]
-    return Poly(spec, (spec.box(value(comb[i], comb[d] * big ** (d - i)))
-                       for i in range(d + 1)))
+    return Poly._of(spec, [value(comb[i], comb[d] * big ** (d - i))
+                           for i in range(d + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,17 @@ def test_oversized_modulus_is_usage_error_at_once(capsys):
     assert "term x^10000000000 above degree 2" in last
 
 
+def test_witness_over_a_large_prime_finds_its_modulus_at_once(capsys):
+    """The witness lives over GF(1000003^4), where no binomial x^4 + c is
+    irreducible as 1000003 = 3 mod 4, so the search for its default modulus
+    starts after the million binomials."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "witness", "--n", "26", "--char", "1000003",
+                       "--q", "2,3,4,5")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and "field: GF(1000003^4;1+x+x^4)" in out
+
+
 def _assert_field_refused_at_once(capsys, tmp_path, field, message):
     """--field with this text is a usage error and a matrix file over it a
     MalformedMatrix, each within a second and with message in the error."""
