@@ -4,13 +4,14 @@ Subcommands: criterion, enumerate, partition, member, witness, verify,
 decompose, cross-validate.  `--json` switches every command from aligned
 human-readable text to the module serialization formats.  Exit codes:
 0 success / oracle pass, 1 domain error, 2 oracle violation, 3 budget
-exceeded, 64 usage error.
+exceeded, 64 usage error, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -33,6 +34,7 @@ EXIT_DOMAIN_ERROR = 1
 EXIT_VIOLATION = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 128 + 13         # as if killed by SIGPIPE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,7 +320,14 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null
+        # device, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BudgetExceeded as exc:
         print(f"BudgetExceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -20,6 +20,11 @@ Partitions are computed once per scalar class: lam*Y has the partition of
 Y, and X + c*(lam*Y) that of X + (c*lam)*Y, so only the Y whose first
 nonzero coordinate is one are partitioned.
 
+Jordan types are read off the ranks r_j of the powers.  The drops
+r_(j-1) - r_j count the cells of size >= j, so they never grow (the Weyr
+characteristic; H. Shapiro, Amer. Math. Monthly 106 (1999) 919-929), and a
+power is ranked only where the last rank and drop leave its rank open.
+
 The inner loops run on numpy integer arrays with native arithmetic mod p;
 a matrix over GF(p^k) enters as its regular representation over GF(p).
 Results are cached per (field, dimension, Jordan type) so scans over many
@@ -201,19 +206,56 @@ def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
 def _defect_codes(mats: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
     """The defects of the successive powers of each nilpotent matrix, as
     a bit mask.  They rise strictly until they reach n, so the set of
-    values encodes the whole sequence."""
+    values encodes the whole sequence.
+
+    The drop r_(j-1) - r_j of the ranks r_j of the powers counts the
+    cells of size >= j, so the drops never grow (the Weyr characteristic;
+    H. Shapiro, Amer. Math. Monthly 106 (1999) 919-929): a nonzero j-th
+    power has rank in [max(1, r - d), r - 1], r and d the last rank and
+    drop.  Only the rows where that holds two or more values are ranked,
+    and once the drop is 1 the chain r - 1, ..., 1, 0 is forced.  Ranks
+    alone do not show nilpotency (J_3(0) + (1) has ranks 3, 2, 1, 1), so
+    every matrix is also checked by repeated squaring, whose M^2 is the
+    second power of the chain."""
     codes = np.full(len(mats), 1 << n, dtype=np.int64)
-    live = np.arange(len(mats))         # rows whose power is still nonzero
+    live = np.arange(len(mats))         # rows whose chain is still open
+    rank = np.full(len(mats), n, dtype=np.int8)     # of the last power
     power = mats
+    # every chain closes by exponent n - 1, or 1 when n = 1
     for exponent in range(1, n + 1):
-        nonzero = power.any(axis=(1, 2))
-        live, power = live[nonzero], power[nonzero]
-        if live.size == 0:
-            break
-        if exponent == n:
-            raise NotNilpotent("batch contains a non-nilpotent matrix")
-        codes[live] |= np.left_shift(1, n - _batch_rank(power, p) // k)
-        power = np.matmul(power, mats[live]) % p
+        # an open row has rank r >= 2 and last drop d >= 2, so the rank of
+        # a nonzero power is open unless r = 2, when it is 1; a zero power
+        # ranks as 0
+        need = rank > 2
+        if need.all():
+            new = _batch_rank(power, p) // k
+        else:
+            new = np.zeros(len(live), dtype=np.int64)
+            new[~need] = power[~need].any(axis=(1, 2))
+            if need.any():
+                new[need] = _batch_rank(power[need], p) // k
+        if exponent == 1:
+            # checked after the first rank, so that M^2 is not held through
+            # the rank's temporaries, which set the peak memory
+            square = np.matmul(mats, mats)
+            square %= p
+            if not _batch_nilpotent(square, (n + 1) // 2, p).all():
+                raise NotNilpotent("batch contains a non-nilpotent matrix")
+        codes[live] |= np.left_shift(1, n - new)
+        done = (rank - new == 1) | (new <= 1)
+        rank = new.astype(np.int8)
+        if done.any():
+            # defects n - r + 1, ..., n - 1 of the forced ranks r - 1, ..., 1
+            codes[live[done]] |= (1 << n) - np.left_shift(
+                1, n + 1 - np.maximum(new[done], 1))
+            open_ = ~done
+            live, rank = live[open_], rank[open_]
+            if live.size == 0:
+                break
+            if exponent > 1:
+                power = power[open_]
+        power = square[live] if exponent == 1 else \
+            np.matmul(power, mats[live]) % p
     return codes
 
 
@@ -221,9 +263,10 @@ def _batch_partitions(mats: np.ndarray, n: int, k: int, p: int):
     """Jordan partitions of a batch of nilpotent regular-representation
     matrices, as (ids, partitions): partitions[ids[i]] is the descending
     part tuple of mats[i], and each distinct partition appears once."""
-    codes = np.concatenate([
-        _defect_codes(mats[start:start + _PARTITION_CHUNK], n, k, p)
-        for start in range(0, len(mats), _PARTITION_CHUNK)])
+    codes = np.empty(len(mats), dtype=np.int64)
+    for start in range(0, len(mats), _PARTITION_CHUNK):
+        stop = start + _PARTITION_CHUNK
+        codes[start:stop] = _defect_codes(mats[start:stop], n, k, p)
     distinct, ids = np.unique(codes, return_inverse=True)
     partitions = [
         partition_from_defects([d for d in range(n + 1) if code >> d & 1]).parts

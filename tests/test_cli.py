@@ -353,6 +353,23 @@ def test_commands_without_the_oracle_do_not_import_numpy():
     assert proc.stdout.splitlines()[-1] == "[False, False, False, True]"
 
 
+def test_closed_stdout_exits_quietly_with_141():
+    """A reader that closes the pipe, as ``| head -1`` does, ends the
+    command as SIGPIPE would: exit 141 and nothing on stderr, not even the
+    interpreter's complaint about its last flush."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilclose.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+            [sys.executable, "-m", "nilclose.cli", "witness", "--n", "8",
+             "--char", "0", "--q", "2,4", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()         # closed before the first write
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 @pytest.mark.parametrize("argv", [
     ["criterion", "--char", "2", "--q", "-"],
     ["enumerate", "--char", "2"],

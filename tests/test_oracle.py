@@ -284,11 +284,108 @@ def test_batch_kernels_match_exact_rank_and_partition(spec):
         ids, parts = oracle._batch_partitions(stack[len(general):], n, k, p)
         assert [parts[i] for i in ids] == \
             [jordan_partition(x).parts for x in nilpotent]
-    # a non-nilpotent matrix in the batch is refused
-    with pytest.raises(NotNilpotent):
-        oracle._batch_partitions(
-            oracle._regular(ExactMatrix.identity(spec, 2), blocks,
-                            oracle._dtype(p, 2 * k))[None], 2, k, p)
+    # a non-nilpotent matrix is refused: the identity, and two whose rank
+    # drops are those of a nilpotent matrix until they stop, J_(n-1)(0) +
+    # (1), which drops by 1 at once, and J_3(0) + J_1(0) + (1), whose
+    # ranks are 3, 2, 1, 1, 1
+    refused = [ExactMatrix.identity(spec, 2)] + [
+        _cells_plus_one(spec, sizes) for sizes in ([2], [4], [3, 1])]
+    for x in refused:
+        with pytest.raises(NotNilpotent):
+            oracle._batch_partitions(
+                oracle._regular(x, blocks, oracle._dtype(p, x.n * k))[None],
+                x.n, k, p)
+
+
+def _cells_plus_one(spec, sizes):
+    """The nilpotent cells J_s(0), s in sizes, followed by the cell (1)."""
+    n = sum(sizes) + 1
+    ints = [[0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size - 1):
+            ints[i][i + 1] = 1
+        start += size
+    ints[-1][-1] = 1
+    return ExactMatrix.from_ints(spec, ints)
+
+
+def _reference_defect_codes(mats, n, k, p):
+    """The defect codes by ranking every nonzero power, the loop
+    ``oracle._defect_codes`` ran before it bounded the rank drops."""
+    codes = np.full(len(mats), 1 << n, dtype=np.int64)
+    live = np.arange(len(mats))         # rows whose power is still nonzero
+    power = mats
+    for exponent in range(1, n + 1):
+        nonzero = power.any(axis=(1, 2))
+        live, power = live[nonzero], power[nonzero]
+        if live.size == 0:
+            break
+        if exponent == n:
+            raise NotNilpotent("batch contains a non-nilpotent matrix")
+        codes[live] |= np.left_shift(1, n - oracle._batch_rank(power, p) // k)
+        power = np.matmul(power, mats[live]) % p
+    return codes
+
+
+def _nilpotent_regular_batch(spec, n, count, rng):
+    """Regular matrices of `count` random nilpotent n x n matrices over
+    spec: strictly upper triangular, each with its own density of nonzero
+    entries from 0 to 1, conjugated by 2n elementary matrices I + c*E_ij."""
+    p, k, q = spec.char, spec.degree, spec.order
+    blocks = oracle._regular_blocks(spec)
+    density = rng.random((count, 1, 1))
+    idx = rng.integers(1, q, (count, n, n)) \
+        * (rng.random((count, n, n)) < density)
+    x = oracle._lift(np.triu(idx, 1), blocks)
+    eye = np.eye(n * k, dtype=np.int64)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.choice(n, 2, replace=False)
+        # (I + N)^-1 = I - N, since N = c*E_ij squares to zero
+        e_ij = np.zeros((count, n * k, n * k), dtype=np.int64)
+        e_ij[:, i * k:(i + 1) * k, j * k:(j + 1) * k] = \
+            blocks[rng.integers(0, q, count)]
+        x = (eye + e_ij) @ x % p @ (eye - e_ij) % p
+    return x.astype(oracle._dtype(p, n * k))
+
+
+@pytest.mark.parametrize("spec, sizes", [
+    (GF2, range(1, 9)), (GF3, range(1, 9)), (GF5, range(1, 9)),
+    (GF7, range(1, 9)), (GF4, range(1, 5)), (GF8, range(1, 5))],
+    ids=lambda v: str(v) if not isinstance(v, range) else
+    f"n<={v[-1]}")
+def test_defect_codes_match_full_rank_chain(spec, sizes):
+    """Codes from the bounded rank drops equal those from ranking every
+    power, code for code, on seeded batches in which every Jordan type
+    appears, at every size the oracle's grids reach (GF(2) n <= 6, GF(3)
+    n <= 5, GF(4) n <= 4, GF(5) n = 4, GF(7) n = 3, GF(8) n = 4) and
+    beyond over the prime fields."""
+    rng = np.random.default_rng(spec.order)
+    p, k = spec.char, spec.degree
+    for n in sizes:
+        mats = _nilpotent_regular_batch(spec, n, 1500, rng)
+        codes = oracle._defect_codes(mats, n, k, p)
+        assert np.array_equal(codes, _reference_defect_codes(mats, n, k, p)), n
+        assert len(np.unique(codes)) == len(_partitions(n)), n
+
+
+def test_defect_codes_match_full_rank_chain_on_oracle_sweep(monkeypatch):
+    """The same on every batch that the tables of the exhaustive check at
+    n = 4 over GF(5) partition."""
+    batches = []
+
+    def checked(mats, n, k, p):
+        codes = bounded(mats, n, k, p)
+        assert np.array_equal(codes, _reference_defect_codes(mats, n, k, p))
+        batches.append(len(mats))
+        return codes
+
+    bounded = oracle._defect_codes
+    monkeypatch.setattr(oracle, "_defect_codes", checked)
+    for part in admissible_partitions(4, qs([2, 3, 4], 4)):
+        oracle._closure_table.__wrapped__(GF5, 4, part)
+    # one chunk per table, and two for [2,1,1]
+    assert batches == [160, 785, 19535, 1 << 16, 32124]
 
 
 def _all_nilpotent_3x3_gf2():
