@@ -9,11 +9,14 @@ The nilpotent Y are listed directly, not found by a scan of the span.  Let
 W_s = (ker X & im X^(s-1)) / (ker X & im X^s), of dimension r_s, the number
 of cells of size s.  Every Y in C(X) induces a map on each W_s, the map
 Y -> (induced maps) is linear and onto the product of the M_{r_s}(F), and
-its kernel is the radical of C(X) (R. Basili, J. Algebra 268 (2003)).  The
-W_s come from kernels and images of the powers of X alone.  A nilpotent Y
-induces nilpotent maps, so listing the preimages of the nilpotent tuples
-misses none; that every listed Y is nilpotent is the cited theorem, so it
-is recomputed by raw matrix powering and a miss raises Inconsistency.  The
+its kernel is the radical of C(X) (R. Basili, J. Algebra 268 (2003)).  X is
+the Jordan matrix of its type, whose centralizer is made of upper-triangular
+Toeplitz blocks (F. R. Gantmacher, Theory of Matrices I, ch. VIII sec. 1), so
+each entry of an induced map is one coordinate of the centralizer basis, and
+that is checked.  A nilpotent Y induces nilpotent maps, so placing every
+nilpotent tuple on those coordinates, with every value on the others, misses
+none; that every listed Y is nilpotent is the cited theorem, so it is
+recomputed by raw matrix powering and a miss raises Inconsistency.  The
 oracle thus does not depend on the structure theory it is meant to check.
 
 Partitions are computed once per scalar class: lam*Y has the partition of
@@ -37,7 +40,7 @@ import logging
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,14 +61,7 @@ from .jordan import (
     jordan_partition,
     partition_from_defects,
 )
-from .matrices import (
-    ExactMatrix,
-    _echelon,
-    _eliminate,
-    _kernel,
-    centralizer_basis,
-    poly_eval,
-)
+from .matrices import ExactMatrix, centralizer_basis, poly_eval
 from .witness import Witness, construction_pairs, falsify, verify_witness
 
 _log = logging.getLogger(__name__)
@@ -305,66 +301,43 @@ class _ClosureTable:
         return self.combo_partitions[self.rep[record], self.mul[1:, lam] - 1]
 
 
-def _mat_vec(ops, rows, vec) -> list:
-    """Product of a matrix and a vector of raw values."""
-    add, mul = ops.add, ops.mul
-    return [reduce(add, map(mul, row, vec), ops.zero) for row in rows]
-
-
 def _induced_maps(x: ExactMatrix, basis):
     """The maps that the elements of `basis` induce on the quotients
-    W_s = (ker X & im X^(s-1)) / (ker X & im X^s) of nonzero dimension r_s.
+    W_s = (ker X & im X^(s-1)) / (ker X & im X^s) of nonzero dimension r_s,
+    for X a Jordan matrix with ones on the superdiagonal.
 
-    Returns the r_s, deepest level first, and the matrix of the linear map
-    phi from span coordinates to the stacked r_s x r_s maps, one row per
-    entry (row-major within each map)."""
-    spec, n, ops = x.spec, x.n, x.spec.ops
-    powers = [ExactMatrix.identity(spec, n)]
-    for _ in range(n):
-        powers.append(powers[-1] * x)
-    # ker X & im X^(s-1) = X^(s-1) ker X^s.  Listed from the deepest level,
-    # the vectors independent of those before them give a basis of ker X
-    # whose first vectors span each of these spaces; those added at level s
-    # span a complement, W_s.
-    spanning, levels = [], []
-    for s in range(n, 0, -1):
-        for u in _kernel([list(r) for r in powers[s]._vals], ops, n):
-            spanning.append(_mat_vec(ops, powers[s - 1]._vals, u))
-            levels.append(s)
-    found = []
-    pivots = [c for c, u in enumerate(spanning)
-              if _eliminate(u, found, ops) is not None]
-    vs = [spanning[c] for c in pivots]
-    ell = len(vs)
-    # coordinates of every B_i v_a in the basis vs, read off the RREF
-    cols = vs + [_mat_vec(ops, b._vals, v) for b in basis for v in vs]
-    m = [list(r) for r in zip(*cols)]
-    if _echelon(m, ops) != list(range(ell)):
+    ker X & im X^(s-1) is spanned by the first basis vectors of the cells
+    of size >= s, so those of the size-s cells are a basis of W_s, and Y
+    induces on W_s the block of its entries at them.  Every equation of
+    XY = YX reads y_u = y_v or y_u = 0, so each row-reduced kernel vector
+    is the 0/1 indicator of one diagonal of one block, and each entry of
+    an induced map is exactly one span coordinate.
+
+    Returns the r_s, deepest level first, and the span coordinate of each
+    entry of the stacked r_s x r_s maps (row-major within each map).
+    Inconsistency if an element leaves ker X, or an entry is not a single
+    coordinate with value one distinct from those of the other entries."""
+    n, zero, one = x.n, x.spec.ops.zero, x.spec.ops.one
+    starts = [i for i in range(n) if i == 0 or x._vals[i - 1][i] == zero]
+    size = {a: b - a for a, b in zip(starts, [*starts[1:], n])}
+    inner = [i for i in range(n) if i not in size]
+    if any(b._vals[i][a] != zero
+           for b in basis for a in starts for i in inner):
         raise Inconsistency("a centralizer element leaves ker X")
-    sizes, phi, first = [], [], 0
-    for s in sorted({levels[c] for c in pivots}, reverse=True):
-        r = sum(levels[c] == s for c in pivots)
-        span = range(first, first + r)
-        phi += [[m[b][ell * (1 + i) + a] for i in range(len(basis))]
-                for b in span for a in span]
-        sizes.append(r)
-        first += r
-    return sizes, phi
-
-
-def _solve_onto(phi: list[list], ops, d: int):
-    """A d x E right inverse of the E x d matrix phi and a kernel basis;
-    Inconsistency unless phi is onto."""
-    e_rows = len(phi)
-    aug = [row + [ops.one if j == e else ops.zero for j in range(e_rows)]
-           for e, row in enumerate(phi)]
-    pivots = _echelon(aug, ops)
-    if pivots[-1] >= d:
-        raise Inconsistency("the induced maps are not onto")
-    right = [[ops.zero] * e_rows for _ in range(d)]
-    for r, c in enumerate(pivots):
-        right[c] = aug[r][d:]
-    return right, _kernel([row[:] for row in phi], ops, d)
+    sizes, coords = [], []
+    for s in sorted(set(size.values()), reverse=True):
+        cells = [a for a in starts if size[a] == s]
+        for row in cells:
+            for col in cells:
+                hit = [i for i, b in enumerate(basis)
+                       if b._vals[row][col] != zero]
+                if len(hit) != 1 or hit[0] in coords or \
+                        basis[hit[0]]._vals[row][col] != one:
+                    raise Inconsistency("an induced map entry is not a "
+                                        "distinct span coordinate")
+                coords.append(hit[0])
+        sizes.append(len(cells))
+    return sizes, coords
 
 
 def _odometer_index(coords: np.ndarray, p: int, k: int) -> np.ndarray:
@@ -387,10 +360,10 @@ def _nilpotent_records(spec: FieldSpec, x: ExactMatrix, basis, blocks,
     and the regular matrices of the representatives, ordered by index."""
     char, k, q = spec.char, spec.degree, spec.order
     n, d = x.n, len(basis)
-    sizes, phi = _induced_maps(x, basis)
-    right, kernel = _solve_onto(phi, spec.ops, d)
-    # Y is nilpotent iff every induced map is, so the nilpotent Y are the
-    # preimages of the nilpotent tuples plus the kernel of phi.
+    sizes, mapped = _induced_maps(x, basis)
+    # Y is nilpotent iff every induced map is, so the nilpotent Y carry a
+    # nilpotent tuple on the mapped coordinates and any values on the
+    # others, the radical.
     tuples = np.zeros((1, 0), dtype=np.int64)
     for r in sizes:
         mats = _grid(q, r * r)
@@ -399,14 +372,16 @@ def _nilpotent_records(spec: FieldSpec, x: ExactMatrix, basis, blocks,
             r, char)]
         tuples = np.concatenate([np.repeat(tuples, len(nil), axis=0),
                                  np.tile(nil, (len(tuples), 1))], axis=1)
+    free = [i for i in range(d) if i not in mapped]
     # GF(p) coordinates: coefficient l of coordinate i at column k*i + l
-    pre = blocks[tuples][..., 0].reshape(len(tuples), -1) \
-        @ _lift(_indices(spec, right, len(phi)), blocks).T % char
-    kernel_gens = _lift(_indices(spec, kernel, d).T, blocks)
-    rad = _grid(char, kernel_gens.shape[1]) @ kernel_gens.T % char
+    pre = np.zeros((len(tuples), d, k), dtype=np.int64)
+    pre[:, mapped] = blocks[tuples][..., 0]
+    rad = np.zeros((char ** (k * len(free)), d, k), dtype=np.int64)
+    rad[:, free] = _grid(char, k * len(free)).reshape(-1, len(free), k)
+    pre, rad = pre.reshape(len(pre), k * d), rad.reshape(len(rad), k * d)
+    # the two parts sit on disjoint columns, so their sum is reduced
     coords = (pre.astype(dtype)[:, None] + rad.astype(dtype)[None]) \
         .reshape(-1, k * d)
-    coords %= char
     # products below are length-k*d dot products of residues
     wide = _dtype(char, k * d)
     gens = np.stack([

@@ -15,16 +15,18 @@ combination leaves it.  Three constructions cover all rejections:
 Each construction records the proven Jordan type of its combination, and
 every witness that ``falsify`` returns has passed the checks of
 ``verify_witness``.  A construction depends on q only through a few sizes, so
-``falsify`` is split in two.  ``_plan`` picks the construction and its sizes
-from (n, char, q).  ``_core`` builds that construction for no particular q and
-computes its q-free invariants by direct computation: whether x and y
-commute, the Jordan types of x, y and the combination.  It is cached per
-(plan, n, char) in a bounded LRU cache of 256 entries; the n <= 8 sweep in
-chars 0, 2, 3 reaches 101 keys, and one (n, char) at most O(n^2).  On every
-call ``falsify`` then picks the violating size for q and runs the q checks
-(x and y in M(q), violating size not admitted) together with the cached
-q-free ones, through the same routine that ``verify_witness`` runs on freshly
-computed invariants.  Returned witnesses share the cached immutable matrices.
+``falsify`` is split in two.  ``_plan`` picks the construction's builder and
+its full argument tuple from (n, char, q).  ``_core`` calls the builder, which
+builds the construction for no particular q, and computes its q-free
+invariants by direct computation: whether x and y commute, the Jordan types
+of x, y and the combination.  It is cached per plan in a bounded LRU cache of
+256 entries; the n <= 8 sweep in chars 0, 2, 3 reaches 101 keys, and one
+(n, char) at most O(n^2).  On every call ``falsify`` then picks the violating
+size for q and runs the q checks (x and y in M(q), violating size not
+admitted) together with the cached q-free ones, through the same routine that
+``verify_witness`` runs on freshly computed invariants.  Returned witnesses
+share the cached immutable matrices.  A rejected q with n above
+``WITNESS_DIMENSION_LIMIT`` is refused before any matrix is built.
 ``construction_pairs`` lists every neighbor and gap pair that fits (n, q)
 over a given field, built as the witnesses build them; the sampled oracle
 draws its catalog from it.
@@ -58,6 +60,12 @@ from .field import (
 from .jordan import (Partition, jordan_matrix, jordan_partition,
                      predicted_poly_partition)
 from .matrices import ExactMatrix, matrix_to_json
+
+# Largest n at which ``falsify`` builds a witness.  Runs of all three
+# constructions in chars 0, 2, 3 and 5 (Python 3.11, a 2-vCPU Xeon VM) answer
+# in at most 0.8 s at n = 100, the neighbor construction at m = 50 over Q
+# being the slowest, and take up to 2.1 s at n = 128.
+WITNESS_DIMENSION_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -174,10 +182,6 @@ def _neighbor_pair(m: int, eps: Scalar, n: int, spec: FieldSpec):
     return (ExactMatrix.block_diag(spec, [cell, cell], n),
             ExactMatrix.block_diag(
                 spec, [build_coupled_cells(m, spec.one(), eps, spec)], n))
-
-
-def _base_field(char: int) -> FieldSpec:
-    return rationals() if char == 0 else galois(char)
 
 
 def _pick_violating(combo_part: Partition, q: QSet | None) -> int:
@@ -329,8 +333,9 @@ def construction_pairs(n: int, spec: FieldSpec, q: QSet):
 # the falsification decision tree
 # ---------------------------------------------------------------------------
 
-def _plan(n: int, char: int, q: QSet) -> tuple[str, tuple[int, ...]]:
-    """The construction that covers a rejected q, with its sizes.
+def _plan(n: int, char: int, q: QSet):
+    """The construction that covers a rejected q, as its builder and the
+    full argument tuple.
 
     Rejections are covered in order: a missing size 2 yields a power
     witness; a maximal prefix that is not a characteristic power yields a
@@ -338,16 +343,17 @@ def _plan(n: int, char: int, q: QSet) -> tuple[str, tuple[int, ...]]:
     a characteristic power with an element outside its window) yields a gap
     witness, after at most one halving step through a power witness.
     """
+    base = rationals() if char == 0 else galois(char)
     m0 = 2
     while (m0 + 1) in q:
         m0 += 1
     if 2 not in q:
-        return "power", (min(q), min(q) - 1)
+        return witness_power, (min(q), min(q) - 1, n, base)
     if m0 > n // 2:
         raise InternalInconsistency(
             f"criterion rejected q={q} despite prefix through {m0}")
     if not is_char_power(m0, char):
-        return "neighbor", (m0,)
+        return witness_neighbor, (m0, n, char)
     # the prefix anchor is a characteristic power, so some element escapes
     # its window [n - m0 + 2, 2*m0]
     lo, hi = n - m0 + 2, 2 * m0
@@ -355,35 +361,33 @@ def _plan(n: int, char: int, q: QSet) -> tuple[str, tuple[int, ...]]:
     half_lo, half_hi = m1 // 2, (m1 + 1) // 2
     if m1 < lo:
         # below the window: the gap construction manufactures size m0 + 1
-        return "gap", (m0 - 1, m1)
+        return witness_gap, (m0 - 1, m1, n, base)
     if half_lo not in q or half_hi not in q:
-        return "power", (m1, 2)
+        return witness_power, (m1, 2, n, base)
     # both halves admitted; the lower half sits strictly between the prefix
     # and the window, so the gap construction applies to it
-    return "gap", (m0 - 1, half_lo)
+    return witness_gap, (m0 - 1, half_lo, n, base)
 
 
 @lru_cache(maxsize=256)
-def _core(plan: tuple[str, tuple[int, ...]], n: int,
-          char: int) -> tuple[Witness, _Invariants]:
+def _core(build, args: tuple) -> tuple[Witness, _Invariants]:
     """The planned construction built for no particular q, with its
     invariants computed by direct computation."""
-    construction, sizes = plan
-    if construction == "neighbor":
-        w = witness_neighbor(*sizes, n, char)
-    else:
-        build = witness_power if construction == "power" else witness_gap
-        w = build(*sizes, n, _base_field(char))
+    w = build(*args)
     return w, _invariants(w)
 
 
 def falsify(n: int, char: int, q: QSet) -> Witness | None:
     """None when the criterion accepts; otherwise a witness that has passed
     the checks of ``verify_witness`` for q (see the module docstring for
-    what is computed once per construction and what on every call)."""
+    what is computed once per construction and what on every call).  A
+    rejected q with n above WITNESS_DIMENSION_LIMIT raises OutOfRange."""
     if check_criterion(n, char, q).accepted:
         return None
-    core, inv = _core(_plan(n, char, q), n, char)
+    if n > WITNESS_DIMENSION_LIMIT:
+        raise OutOfRange(f"n={n} is above {WITNESS_DIMENSION_LIMIT}, the "
+                         f"largest dimension at which a witness is built")
+    core, inv = _core(*_plan(n, char, q))
     w = replace(core, violating_size=_pick_violating(core.combo_partition, q))
     _check(w, inv, q)
     return w

@@ -10,10 +10,11 @@ import time
 import pytest
 
 import nilclose
-from nilclose import oracle
+from nilclose import oracle, witness
 from nilclose.cli import main
 from nilclose.field import PRIMALITY_LIMIT, rationals
 from nilclose.matrices import ExactMatrix, matrix_from_json, matrix_to_json
+from nilclose.witness import WITNESS_DIMENSION_LIMIT
 
 
 def run(capsys, *argv):
@@ -402,6 +403,29 @@ def test_domain_error_exit(capsys):
     code, _, err = run(capsys, "witness", "--n", "4", "--char", "0",
                        "--q", "7")
     assert code == 1 and "InvalidQ" in err
+
+
+def test_witness_refuses_a_dimension_above_the_limit(capsys, monkeypatch):
+    """A rejected q above WITNESS_DIMENSION_LIMIT exits 1 with OutOfRange
+    before any construction is planned; at the limit a witness is built,
+    and an accepted q still answers at any n."""
+    code, out, _ = run(capsys, "witness", "--n",
+                       str(WITNESS_DIMENSION_LIMIT), "--char", "2",
+                       "--q", "2,5")
+    assert code == 0 and "construction: gap" in out
+
+    def fail(*args):
+        raise AssertionError("a construction was planned")
+    monkeypatch.setattr(witness, "_plan", fail)
+    code, _, err = run(capsys, "witness", "--n",
+                       str(WITNESS_DIMENSION_LIMIT + 1), "--char", "0",
+                       "--q", "2,3")
+    assert code == 1 and "OutOfRange" in err
+    assert str(WITNESS_DIMENSION_LIMIT) in err
+    n = 10 * WITNESS_DIMENSION_LIMIT
+    code, out, _ = run(capsys, "witness", "--n", str(n), "--char", "0",
+                       "--q", ",".join(map(str, range(2, n + 1))))
+    assert code == 0 and "accept" in out
 
 
 def test_large_prime_characteristic_answers_at_once(capsys):

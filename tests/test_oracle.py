@@ -22,8 +22,8 @@ from nilclose.errors import (
     OutOfRange,
 )
 from nilclose.field import galois, rationals
-from nilclose.jordan import Partition, jordan_partition
-from nilclose.matrices import ExactMatrix, rank
+from nilclose.jordan import Partition, jordan_matrix, jordan_partition
+from nilclose.matrices import ExactMatrix, centralizer_basis, rank
 from nilclose.oracle import (
     admissible_partitions,
     centralizer_dimension,
@@ -234,6 +234,26 @@ def test_closure_table_matches_raw_scan(spec, n, part):
     assert table.span_size == spec.order ** d
     assert np.array_equal(table.y_index, raw)
     assert len(raw) == spec.order ** (d - len(part))
+
+
+@pytest.mark.parametrize("spec", [GF3, GF4], ids=str)
+def test_induced_maps_refuse_a_basis_off_the_coordinates(spec):
+    """The induced maps are read off the entries of the centralizer basis
+    at the cell starts of the Jordan matrix.  The same span with an entry
+    on two coordinates, and an element with a nonzero entry in a
+    cell-start column at a row that is no cell start (it leaves ker X),
+    are refused."""
+    x = jordan_matrix(Partition([2, 2]), 4, spec)
+    basis = centralizer_basis(x)
+    sizes, coords = oracle._induced_maps(x, basis)
+    assert sizes == [2] and len(set(coords)) == 4 and 0 not in coords
+    mixed = [basis[0] + basis[coords[0]], *basis[1:]]
+    with pytest.raises(Inconsistency, match="not a distinct span coordinate"):
+        oracle._induced_maps(x, mixed)
+    stray = ExactMatrix.from_ints(spec, [[0, 0, 0, 0], [0, 0, 1, 0],
+                                         [0, 0, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(Inconsistency, match="leaves ker X"):
+        oracle._induced_maps(x, [*basis[:-1], stray])
 
 
 @pytest.mark.parametrize("spec", [GF4, GF5, GF8, GF9], ids=str)
@@ -472,7 +492,8 @@ def test_oracle_imports_only_public_witness_names():
     """The oracle checks the structure theory, so it may use the witness
     module only through the report type, the verifier, the falsifier and
     the public construction catalog, and no private name of the modules
-    it checks.  Private kernels of ``matrices`` are shared."""
+    it checks or of ``matrices``: it reads the induced maps off the Jordan
+    matrix's coordinates, with no row reduction of its own."""
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):
@@ -490,7 +511,7 @@ def test_oracle_imports_only_public_witness_names():
                     imported.setdefault(alias.name, set()).add("*")
     assert imported["witness"] <= {
         "Witness", "verify_witness", "falsify", "construction_pairs"}
-    for module in ("witness", "criterion", "jordan"):
+    for module in ("witness", "criterion", "jordan", "matrices"):
         private = {name for name in imported.get(module, ())
                    if name.startswith("_")}
         assert not private, (module, private)

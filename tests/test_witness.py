@@ -322,9 +322,10 @@ def test_cache_hit_still_checks_q(monkeypatch):
     and y outside q, and a violating size that q admits, still raise."""
     witness._core.cache_clear()
     first = falsify(4, 0, qs([4], 4))           # power witness, m=4, k=3
-    assert witness._plan(4, 0, qs([4], 4)) == ("power", (4, 3))
+    plan = (witness.witness_power, (4, 3, 4, rationals()))
+    assert witness._plan(4, 0, qs([4], 4)) == plan
     assert falsify(4, 0, qs([4], 4)).x is first.x
-    monkeypatch.setattr(witness, "_plan", lambda n, char, q: ("power", (4, 3)))
+    monkeypatch.setattr(witness, "_plan", lambda n, char, q: plan)
     hits = witness._core.cache_info().hits
     with pytest.raises(InternalInconsistency, match="witness x is not in"):
         falsify(4, 0, qs([2], 4))
