@@ -107,7 +107,7 @@ def _cmd_criterion(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    valid = enumerate_valid_q(args.n, args.char, bound=args.bound)
+    valid = enumerate_valid_q(args.n, args.char)
     if args.json:
         _emit({"n": args.n, "char": args.char,
                "valid": [str(q) for q in valid]})
@@ -256,8 +256,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="list all accepted q-sets")
     common(p, char=True, n=True)
-    p.add_argument("--bound", type=_nonnegative_int, default=20,
-                   help="refuse n above this bound (default 20)")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("partition", help="Jordan partition of a matrix file")

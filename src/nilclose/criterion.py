@@ -169,8 +169,16 @@ def check_criterion(n: int, char: int, q: QSet) -> CriterionResult:
     return CriterionResult("reject", reject_reasons=tuple(reasons))
 
 
+# all_qsets holds all 2^(n-1) subsets in memory at once
+ENUMERATION_LIMIT = 20
+
+
 def all_qsets(n: int):
-    """Every subset of {2, ..., n} in lexicographic order of the sorted tuple."""
+    """Every subset of {2, ..., n} in lexicographic order of the sorted
+    tuple; BoundExceeded above ENUMERATION_LIMIT."""
+    if n > ENUMERATION_LIMIT:
+        raise BoundExceeded(
+            f"n={n} exceeds the enumeration bound {ENUMERATION_LIMIT}")
     universe = list(range(2, n + 1))
     subsets = []
     for size in range(len(universe) + 1):
@@ -179,11 +187,9 @@ def all_qsets(n: int):
     return [QSet(s, n) for s in subsets]
 
 
-def enumerate_valid_q(n: int, char: int, bound: int = 20) -> list[QSet]:
+def enumerate_valid_q(n: int, char: int) -> list[QSet]:
     """All accepted q-sets, in lexicographic order."""
     _validate_char(char)
-    if n > bound:
-        raise BoundExceeded(f"n={n} exceeds the enumeration bound {bound}")
     return [q for q in all_qsets(n) if check_criterion(n, char, q).accepted]
 
 

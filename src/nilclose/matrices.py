@@ -1,8 +1,8 @@
 """Dense exact matrices over a FieldSpec.
 
-Covers the algebra operations, exact rank and kernels, polynomial
-evaluation, centralizer bases and minimal polynomials.  Everything is
-immutable and pure.  Entries are stored as the field's raw values
+Covers the algebra operations, exact rank, polynomial evaluation,
+centralizer bases and minimal polynomials.  Everything is immutable and
+pure.  Entries are stored as the field's raw values
 (``spec.ops``), which every kernel reads and writes; Scalars appear only
 at the public boundary, ``ExactMatrix(spec, rows)`` and ``rows``.
 
@@ -15,11 +15,10 @@ reduction takes one row at a time against the pivots found so far, and
 ``_arithmetic`` is the one place that picks how: on integer rows,
 fraction-free (Bareiss), over Q, and on raw rows with unscaled pivots,
 ``_eliminate``, over finite fields.  Rank, the row-space chain behind
-Jordan types (``_power_ranks``), minimal polynomials and Horner's
-polynomial evaluation are each written once on top of it, so over Q
-Fractions are formed only for results.  Kernels and centralizer bases
-come from the reduced row echelon form, ``_echelon``.  Skipping zeros is
-exact, so no result depends on it.
+Jordan types (``_power_ranks``), minimal polynomials, Horner's
+polynomial evaluation and centralizer bases are each written once on top
+of it, so over Q Fractions are formed only for results.  Skipping zeros
+is exact, so no result depends on it.
 """
 
 from __future__ import annotations
@@ -379,47 +378,6 @@ def rank(x: ExactMatrix) -> int:
     return next(_power_ranks(x), 0)
 
 
-def _echelon(m: list[list], ops) -> list[int]:
-    """Replace m, rows of raw field values, by the nonzero rows of its
-    reduced row echelon form and return their pivot columns.
-    ``_eliminate`` reduces the rows one at a time; then each pivot row, the
-    last found first, is scaled to lead with 1 and subtracted from the
-    pivot rows found before it.  It is already zero in their columns and,
-    by then, in those of the later ones; so every pivot column ends with a
-    single 1."""
-    mul, inv, submul = ops.mul, ops.inv, ops.submul
-    pivots = []
-    for row in m:
-        _eliminate(row, pivots, ops)
-    for i in range(len(pivots) - 1, -1, -1):
-        col, pivot_row = pivots[i]
-        scale = inv(pivot_row[col])
-        pivot_row = [mul(a, scale) if a else a for a in pivot_row]
-        pivots[i] = col, pivot_row
-        for j, (c, row) in enumerate(pivots[:i]):
-            f = row[col]
-            if f:
-                pivots[j] = c, [submul(a, f, b) if b else a
-                                for a, b in zip(row, pivot_row)]
-    pivots.sort()                   # the columns are distinct
-    m[:] = [row for _, row in pivots]
-    return [col for col, _ in pivots]
-
-
-def _kernel(m: list[list], ops, ncols: int) -> list[list]:
-    """Raw kernel basis of the system m (consumed), one vector per free
-    column, free columns in ascending order."""
-    pivots = _echelon(m, ops)
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        vec = [ops.zero] * ncols
-        vec[fc] = ops.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = ops.neg(m[r][fc])
-        basis.append(vec)
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # polynomial evaluation, centralizers, minimal polynomials
 # ---------------------------------------------------------------------------
@@ -454,28 +412,40 @@ def poly_eval(f: Poly, x: ExactMatrix) -> ExactMatrix:
 
 
 def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
-    """Basis of {Y : XY = YX} from the homogeneous n^2-variable system.
+    """Basis of {Y : XY = YX}, one matrix per unknown y_rc that the
+    commutation equations leave free, in row-major order of (r, c).
 
-    Kernel vectors are emitted in the column order of the row-reduced
-    system, so the basis is deterministic.
-    """
-    n = x.n
-    ops = x.spec.ops
-    add, sub = ops.add, ops.sub
-    xr = x._vals
-    nn = n * n
-    # unknown y_{rc} at index r*n + c; equation per (i, j):
-    # sum_k x_{ik} y_{kj} - y_{ik} x_{kj} = 0
-    eqs = []
-    for i in range(n):
-        for j in range(n):
-            row = [ops.zero] * nn
-            for k in range(n):
-                row[k * n + j] = add(row[k * n + j], xr[i][k])
-                row[i * n + k] = sub(row[i * n + k], xr[k][j])
-            eqs.append(row)
-    return [ExactMatrix._of(x.spec, [vec[i * n:(i + 1) * n] for i in range(n)])
-            for vec in _kernel(eqs, ops, nn)]
+    The unit matrices E_rc enter in row-major order, each as the row
+    [vec(X E_rc - E_rc X) | e_rc] for the image X of x, and are reduced
+    against the pivot rows of the earlier ones that stayed independent.
+    A row whose head reduces to zero leads in its tail (column >= n^2) and
+    records sum a_uv E_uv in the centralizer; it is popped from the
+    pivots, so no later row is reduced against it.  Every pivot row's tail
+    lies on the independent unknowns before it, so the popped tail is 0 at
+    every other free unknown, and divided by its entry a_rc (which stays 1
+    over a finite field) it is the kernel vector that the reduced row
+    echelon form gives for the free column rc."""
+    n, spec = x.n, x.spec
+    nn, zero, sub = n * n, spec.ops.zero, spec.ops.sub
+    _, times, value, reduce = _arithmetic(x)
+    image = times([[int(i == j) for j in range(n)] for i in range(n)])
+    pivots, basis = [], []
+    for r in range(n):
+        for c in range(n):
+            # column c of X E_rc is column r of X; row r of E_rc X is row c
+            row = [0] * (2 * nn)
+            for i in range(n):
+                row[i * n + c] = image[i][r]
+            for j in range(n):
+                row[r * n + j] = sub(row[r * n + j], image[c][j])
+            row[nn + r * n + c] = 1
+            if reduce(row, pivots) >= nn:
+                tail = pivots.pop()[1][nn:]
+                e = tail[r * n + c]
+                basis.append(ExactMatrix._of(spec, [
+                    [value(v, e) if v else zero for v in tail[i:i + n]]
+                    for i in range(0, nn, n)]))
+    return basis
 
 
 def minimal_polynomial(x: ExactMatrix) -> Poly:

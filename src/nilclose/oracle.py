@@ -74,20 +74,23 @@ _log = logging.getLogger(__name__)
 def admissible_partitions(n: int, q: QSet) -> list[Partition]:
     """Partitions of n with parts in q plus 1-cells and largest part
     >= 2, in descending lexicographic order."""
+    return list(_admissible(n, q))
+
+
+def _admissible(n: int, q: QSet):
+    """``admissible_partitions`` generated one at a time."""
     allowed = [*sorted(q.elements, reverse=True), 1]
-    out = []
 
     def recurse(remaining, max_part, acc):
         if remaining == 0:
             if acc and acc[0] > 1:
-                out.append(Partition(acc))
+                yield Partition(acc)
             return
         for part in allowed:
             if part <= max_part and part <= remaining:
-                recurse(remaining - part, part, acc + [part])
+                yield from recurse(remaining - part, part, acc + [part])
 
-    recurse(n, n, [])
-    return out
+    return recurse(n, n, [])
 
 
 def centralizer_dimension(p: Partition) -> int:
@@ -532,13 +535,14 @@ def exhaustive_check(n: int, spec: FieldSpec, q: QSet,
         raise InfiniteField("exhaustive enumeration needs a finite field")
     if q.n != n:
         raise InvalidQ(f"q has ambient dimension {q.n}, expected {n}")
-    parts_list = admissible_partitions(n, q)
-    for p in parts_list:
+    parts_list = []
+    for p in _admissible(n, q):     # refused before the rest is listed
         required = spec.order ** centralizer_dimension(p)
         if required > budget:
             raise BudgetExceeded(
                 f"partition {p} needs {required} span elements "
                 f"(budget {budget})", partition=p, required=required)
+        parts_list.append(p)
     qset = set(q.elements)
     order = spec.order
     matrices = pairs = combos = 0

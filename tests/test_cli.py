@@ -12,6 +12,7 @@ import pytest
 import nilclose
 from nilclose import oracle, witness
 from nilclose.cli import main
+from nilclose.criterion import ENUMERATION_LIMIT
 from nilclose.field import PRIMALITY_LIMIT, rationals
 from nilclose.matrices import ExactMatrix, matrix_from_json, matrix_to_json
 from nilclose.witness import WITNESS_DIMENSION_LIMIT
@@ -387,13 +388,18 @@ def test_negative_dimension_is_usage_error(capsys, argv):
                     "must be non-negative, got -3")
 
 
-def test_negative_bound_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--n", "3", "--char", "2", "--bound", "-1"])
-    assert exc.value.code == 64
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last == ("nilclose enumerate: error: argument --bound: "
-                    "must be non-negative, got -1")
+def test_enumeration_limit_refuses_at_once(capsys):
+    """``enumerate`` and ``cross-validate`` over all q list 2^(n-1)
+    subsets, so n above ``ENUMERATION_LIMIT`` is refused before any is
+    listed."""
+    n = str(ENUMERATION_LIMIT + 1)
+    for command in ("enumerate", "cross-validate"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--n", n, "--char", "2")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err == (f"BoundExceeded: n={n} exceeds the enumeration "
+                       f"bound {ENUMERATION_LIMIT}\n")
 
 
 def test_domain_error_exit(capsys):

@@ -19,9 +19,7 @@ from nilclose.jordan import (Partition, jordan_chevalley, jordan_matrix,
 from nilclose.matrices import (
     ExactMatrix,
     _bareiss_reduce,
-    _echelon,
     _eliminate,
-    _kernel,
     centralizer_basis,
     load_matrix,
     matrix_from_json,
@@ -109,10 +107,9 @@ def test_rank_agrees_across_backends():
 
 
 def test_rank_product_inequality():
-    """Sylvester's bound, and rank-nullity across the two elimination
-    routines: ``rank`` (``_bareiss_reduce`` over Q, ``_eliminate`` over
-    GF(7)) against the kernel from the reduced row echelon form of
-    ``_echelon``, which reduces Fractions over Q."""
+    """Sylvester's bound, and rank-nullity: ``rank`` (``_bareiss_reduce``
+    over Q, ``_eliminate`` over GF(7)) against the kernel of a dense
+    Gauss-Jordan elimination on Scalars."""
     rng = random.Random(17)
     for spec, lo, hi in ((GF7, 0, 6), (Q, -3, 3)):
         for _ in range(50):
@@ -122,9 +119,7 @@ def test_rank_product_inequality():
             y = ExactMatrix.from_ints(
                 spec, [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
             assert rank(x * y) <= min(rank(x), rank(y))
-            kernel = _kernel([[a.val for a in r] for r in x.rows],
-                             spec.ops, n)
-            assert rank(x) + len(kernel) == n
+            assert rank(x) + len(_dense_nullspace(x.rows, spec, n)) == n
 
 
 def _bareiss_input(rng):
@@ -154,9 +149,9 @@ def test_bareiss_reduce_spans_the_row_space():
     columns of the earlier pivots; each of its entries is the minor of the
     input rows that made the pivots so far, on their pivot columns and
     that entry's column, so the exact divisions kept every entry a minor;
-    and the pivots span the input's row space, by ``_echelon`` over Q."""
+    and the pivots span the input's row space, by a dense Gauss-Jordan
+    elimination over Q."""
     rng = random.Random(41)
-    ops = Q.ops
     for _ in range(120):
         rows = _bareiss_input(rng)
         pivots, sources = [], []
@@ -174,8 +169,8 @@ def test_bareiss_reduce_spans_the_row_space():
                 assert a == sympy.Matrix(minor).det()
 
         def rank_over_q(int_rows):
-            return len(_echelon([[Fraction(a) for a in r] for r in int_rows],
-                                ops))
+            return len(_dense_rref([[Q.from_int(a) for a in r]
+                                    for r in int_rows])[1])
         assert rank_over_q(rows) == rank_over_q(
             rows + [r for _, r in pivots]) == len(pivots)
 
@@ -252,8 +247,8 @@ def _sparse_rows(spec, nrows, ncols, density, rng):
                                   galois(3, 2), galois(3, 3), galois(2, 12)],
                          ids=str)
 def test_zero_skipping_kernels_match_dense_reference(spec):
-    """Products, ranks and kernels skip zero entries; a dense triple loop
-    and a dense Gauss-Jordan elimination must give the same results."""
+    """Products and ranks skip zero entries; a dense triple loop and a
+    dense Gauss-Jordan elimination must give the same results."""
     rng = random.Random(2024)
     for tenths in range(1, 11):
         density = tenths / 10
@@ -263,24 +258,6 @@ def test_zero_skipping_kernels_match_dense_reference(spec):
             y = ExactMatrix(spec, _sparse_rows(spec, n, n, density, rng))
             assert x * y == _dense_product(x, y)
             assert rank(x) == len(_dense_rref(x.rows)[1])
-            nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-            rows = _sparse_rows(spec, nrows, ncols, density, rng)
-            reduced = [[a.val for a in r] for r in rows]
-            pivots = _echelon(reduced, spec.ops)
-            dense, dense_pivots = _dense_rref(rows)
-            assert pivots == dense_pivots
-            assert [[spec.box(a) for a in r] for r in reduced] \
-                == dense[:len(pivots)]
-            assert all(a.is_zero for r in dense[len(pivots):] for a in r)
-            kernel = [[spec.box(v) for v in vec] for vec in _kernel(
-                [[a.val for a in r] for r in rows], spec.ops, ncols)]
-            assert kernel == _dense_nullspace(rows, spec, ncols)
-            for vec in kernel:
-                for row in rows:
-                    dot = spec.zero()
-                    for a, v in zip(row, vec):
-                        dot = dot + a * v
-                    assert dot.is_zero
 
 
 @pytest.mark.parametrize("spec", [Q, GF7, GF4, galois(2, 3)], ids=str)
@@ -378,6 +355,44 @@ def test_centralizer_elements_commute():
         assert len(basis) == len(centralizer_basis(x))
 
 
+def _commutation_system(x):
+    """The n^2 equations (xy - yx)_ij = 0, row-major in (i, j), in the
+    unknowns y_rc, row-major in (r, c), as boxed Scalars: y_rc enters
+    equation (i, j) with x_ir when j = c and with -x_cj when i = r."""
+    n, xr, zero = x.n, x.rows, x.spec.zero()
+    return [[(xr[i][r] if j == c else zero) - (xr[c][j] if i == r else zero)
+             for r in range(n) for c in range(n)]
+            for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize("spec", [Q, GF7, GF4, galois(2, 3), galois(3, 2)],
+                         ids=str)
+def test_centralizer_basis_is_the_dense_nullspace(spec):
+    """``centralizer_basis`` gives, in order and value, the null space of
+    the commutation system by a dense Gauss-Jordan elimination on
+    Scalars: one vector per free unknown, ascending, with 1 there and 0 at
+    every other free unknown.  Dense and sparse matrices, and Jordan
+    matrices shifted by a scalar, n = 0..6; over Q with fractional
+    entries."""
+    rng = random.Random(spec.order if spec.is_finite else 0)
+    for n in range(7):
+        cases = [ExactMatrix(spec, _sparse_rows(spec, n, n, density, rng))
+                 for density in (1, 0.3) if n]
+        parts, left = [], n
+        while left:
+            parts.append(rng.randint(1, left))
+            left -= parts[-1]
+        shift = _sparse_rows(spec, 1, 1, 1, rng)[0][0]
+        cases.append(jordan_matrix(Partition(parts), n, spec)
+                     + ExactMatrix.identity(spec, n).scale(shift))
+        for x in cases:
+            expected = [[vec[i:i + n] for i in range(0, n * n, n)]
+                        for vec in _dense_nullspace(_commutation_system(x),
+                                                    spec, n * n)]
+            assert [list(map(list, y.rows))
+                    for y in centralizer_basis(x)] == expected
+
+
 def test_minimal_polynomial():
     assert minimal_polynomial(jcell(Q, 3)) == Poly.from_ints(Q, [0, 0, 0, 1])
     d = ExactMatrix.from_ints(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
@@ -398,25 +413,9 @@ def test_empty_matrix():
         assert jordan_chevalley(x) == (x, x)
 
 
-def _counting_kernel(monkeypatch):
-    """Patch matrices._kernel to record its calls; return the record."""
-    calls = []
-    kernel = matrices._kernel
-
-    def counting_kernel(*args):
-        calls.append(1)
-        return kernel(*args)
-    monkeypatch.setattr(matrices, "_kernel", counting_kernel)
-    return calls
-
-
-def test_minimal_polynomial_runs_one_kernel(monkeypatch):
-    """Over a finite field the minimal polynomial is the one kernel vector
-    of the system of the powers I, x, ..., x^n that the incremental
-    elimination meets first: powers are reduced as they come and the first
-    dependency ends the loop, so x^0, ..., x^d are reduced for degree d,
-    and ``_kernel`` of the whole system never runs."""
-    calls = _counting_kernel(monkeypatch)
+def _counting_reduce(monkeypatch):
+    """Patch matrices._arithmetic so that its reduce records each row it
+    is given; return the record."""
     reduced = []
     arithmetic = matrices._arithmetic
 
@@ -424,10 +423,19 @@ def test_minimal_polynomial_runs_one_kernel(monkeypatch):
         big, times, value, reduce = arithmetic(x)
 
         def counting_reduce(row, pivots):
-            reduced.append(1)
+            reduced.append(list(row))
             return reduce(row, pivots)
         return big, times, value, counting_reduce
     monkeypatch.setattr(matrices, "_arithmetic", counting_arithmetic)
+    return reduced
+
+
+def test_minimal_polynomial_runs_one_kernel(monkeypatch):
+    """Over a finite field the minimal polynomial is the one kernel vector
+    of the system of the powers I, x, ..., x^n that the incremental
+    elimination meets first: powers are reduced as they come and the first
+    dependency ends the loop, so x^0, ..., x^d are reduced for degree d."""
+    reduced = _counting_reduce(monkeypatch)
     cases = [
         (ExactMatrix(GF7, []), Poly.one(GF7)),
         (ExactMatrix.identity(GF7, 4), Poly.from_ints(GF7, [-1, 1])),
@@ -437,21 +445,26 @@ def test_minimal_polynomial_runs_one_kernel(monkeypatch):
         reduced.clear()
         assert minimal_polynomial(x) == expected
         assert len(reduced) == expected.degree + 1
-    assert calls == []
 
 
 def test_minimal_polynomial_over_q_runs_no_kernel(monkeypatch):
-    """Over Q the powers are reduced on integers as they come, with no
-    kernel of a Fraction system."""
-    calls = _counting_kernel(monkeypatch)
+    """Over Q the powers are reduced as they come, x^0, ..., x^d for
+    degree d, and every row reduced is a row of integers: no Fraction
+    system is eliminated, also for fractional entries."""
+    reduced = _counting_reduce(monkeypatch)
     cases = [
         (ExactMatrix(Q, []), Poly.one(Q)),
         (ExactMatrix.from_ints(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
          Poly.from_ints(Q, [2, -3, 1])),
+        (ExactMatrix(Q, [[Q.scalar(Fraction(1, 2)), Q.from_int(0)],
+                         [Q.from_int(0), Q.scalar(Fraction(1, 3))]]),
+         Poly.from_ints(Q, [1, -5, 6]).monic()),
     ]
     for x, expected in cases:
+        reduced.clear()
         assert minimal_polynomial(x) == expected
-    assert calls == []
+        assert len(reduced) == expected.degree + 1
+        assert all(type(a) is int for row in reduced for a in row)
 
 
 def test_minimal_polynomial_annihilates():
@@ -771,8 +784,9 @@ def test_forward_echelon_counts_the_full_pivots(spec):
     unscaled, enters exactly the rows that the earlier ones do not span,
     and their pivot columns are those of the reduced row echelon form of a
     dense Gauss-Jordan elimination.  Each pivot row leads at its column and
-    is zero in the columns of the pivots found before it; ``_echelon`` of
-    the pivot rows gives that reduced form, so they span the row space."""
+    is zero in the columns of the pivots found before it; the dense
+    Gauss-Jordan elimination of the pivot rows gives that reduced form, so
+    they span the row space."""
     rng = random.Random(spec.order)
     ops = spec.ops
     for _ in range(60):
@@ -788,20 +802,22 @@ def test_forward_echelon_counts_the_full_pivots(spec):
         for j, (col, prow) in enumerate(pivots):
             assert prow[col] and not any(prow[:col])
             assert not any(prow[c] for c, _ in pivots[:j])
-        reduced = [list(prow) for _, prow in pivots]
-        assert _echelon(reduced, ops) == full
-        assert [[spec.box(a) for a in r] for r in reduced] == rref[:len(full)]
+        reduced, cols = _dense_rref([[spec.box(a) for a in prow]
+                                     for _, prow in pivots])
+        assert cols == full
+        assert reduced == rref[:len(full)]
 
 
 def _inverse(x):
-    """The inverse of an invertible matrix, by full elimination of [x | I];
-    None for a singular one."""
-    n, ops = x.n, x.spec.ops
-    aug = [list(r) + [ops.one if j == i else ops.zero for j in range(n)]
-           for i, r in enumerate(x._vals)]
-    if _echelon(aug, ops) != list(range(n)):
+    """The inverse of an invertible matrix, by dense Gauss-Jordan
+    elimination of [x | I]; None for a singular one."""
+    n, spec = x.n, x.spec
+    aug = [list(r) + [spec.one() if j == i else spec.zero()
+                      for j in range(n)] for i, r in enumerate(x.rows)]
+    reduced, pivots = _dense_rref(aug)
+    if pivots != list(range(n)):
         return None
-    return ExactMatrix._of(x.spec, [r[n:] for r in aug])
+    return ExactMatrix(spec, [r[n:] for r in reduced])
 
 
 @pytest.mark.parametrize("spec", [GF4, galois(2, 3), galois(3, 2)], ids=str)

@@ -7,6 +7,7 @@ import itertools
 import json
 import logging
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,19 @@ def test_exhaustive_errors():
         exhaustive_check(4, GF3, qs([2], 4), budget=10)
     assert exc.value.partition == Partition([2, 2])
     assert exc.value.required == 3 ** 8
+
+
+def test_budget_refused_before_listing_every_partition():
+    """The budget is checked as the partitions are generated: q = {2..80}
+    has millions of admissible partitions at n = 80, and the first, [80],
+    is refused at once with the message a full listing would give."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        exhaustive_check(80, GF2, qs(range(2, 81), 80))
+    assert time.perf_counter() - start < 1
+    assert exc.value.partition == Partition([80])
+    assert str(exc.value) == (f"partition {Partition([80])} needs {2 ** 80} "
+                              f"span elements (budget 5000000)")
 
 
 def test_exhaustive_determinism():
