@@ -1,24 +1,25 @@
-"""Dense exact matrices over a FieldSpec.
+"""Exact matrices over a FieldSpec.
 
 Covers the algebra operations, exact rank, polynomial evaluation,
 centralizer bases and minimal polynomials.  Everything is immutable and
-pure.  Entries are stored as the field's raw values
-(``spec.ops``), which every kernel reads and writes; Scalars appear only
-at the public boundary, ``ExactMatrix(spec, rows)`` and ``rows``.
+pure.  Entries are stored as the field's raw values (``spec.ops``);
+Scalars appear only at the public boundary, ``ExactMatrix(spec, rows)``
+and ``rows``.
 
-Products run one zero-skipping loop on Python ints, ``_product``: over Q
-each left row is scaled to its common denominator and the right factor to
-one denominator D; over GF(p) an entry is its residue; over GF(p^k) its
-packed int is repacked into slots wide enough for a sum of n products
-(Kronecker substitution).  Each nonzero sum is reduced once.  Row
-reduction takes one row at a time against the pivots found so far, and
-``_arithmetic`` is the one place that picks how: on integer rows,
-fraction-free (Bareiss), over Q, and on raw rows with unscaled pivots,
-``_eliminate``, over finite fields.  Rank, the row-space chain behind
-Jordan types (``_power_ranks``), minimal polynomials, Horner's
-polynomial evaluation and centralizer bases are each written once on top
-of it, so over Q Fractions are formed only for results.  Skipping zeros
-is exact, so no result depends on it.
+Every row that a kernel multiplies or reduces is a dict {column: value}
+of its nonzeros.  ``_product`` visits only the nonzeros of each left row
+and of the right rows they select, on Python ints: over Q rows are
+scaled to common denominators; over GF(p^k) a packed entry is repacked
+into slots wide enough for a sum of n products (Kronecker substitution).
+Each nonzero sum is reduced once.  ``_reduce`` takes one row at a time
+against the pivots found so far, kept by lead (a pivot row's least
+column), and ``_arithmetic`` is the one place that picks the arithmetic:
+fraction-free on integer rows divided by their content over Q, raw
+values with unscaled pivots over finite fields.  Rank, the row-space
+chain behind Jordan types (``_power_ranks``), Horner's polynomial
+evaluation, centralizer bases and the Krylov minimal polynomial are each
+written once on top of it, so over Q Fractions are formed only for
+results.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, FieldMismatch, MalformedMatrix
@@ -64,6 +66,15 @@ class ExactMatrix:
                             ("_vals", tuple(map(tuple, vals)))):
             object.__setattr__(self, name, value)
         return self
+
+    @classmethod
+    def _of_nonzeros(cls, spec: FieldSpec, rows) -> "ExactMatrix":
+        """A kernel result given as n rows of nonzeros."""
+        vals = [[spec.ops.zero] * len(rows) for _ in rows]
+        for out, row in zip(vals, rows):
+            for j, a in row.items():
+                out[j] = a
+        return cls._of(spec, vals)
 
     @property
     def rows(self) -> tuple:
@@ -155,8 +166,8 @@ class ExactMatrix:
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
         right, lift = _integer_factors(other)
-        return ExactMatrix._of(self.spec, _product(*lift(self._vals), right,
-                                                   self.spec.ops.zero))
+        return ExactMatrix._of_nonzeros(
+            self.spec, _product(*lift(_nonzeros(self)), right))
 
     def scale(self, c: Scalar) -> "ExactMatrix":
         if c.spec != self.spec:
@@ -203,83 +214,79 @@ def _cells(x: ExactMatrix) -> list[list[str]]:
 
 
 def _denominator(row) -> int:
-    """Least common denominator of a row of Fractions."""
+    """Least common denominator of Fractions."""
     return lcm(*(a.denominator for a in row))
 
 
-def _numerators(row, d: int) -> list[int]:
-    """A row of Fractions times its common denominator d."""
-    return [a.numerator * (d // a.denominator) for a in row]
+def _scaled(row: dict, d: int) -> dict:
+    """A row of Fractions times d, a common multiple of their denominators."""
+    return {j: a.numerator * (d // a.denominator) for j, a in row.items()}
+
+
+def _nonzeros(x: ExactMatrix) -> list[dict]:
+    """The rows of x as dicts {column: raw value} of their nonzeros."""
+    return [dict(compress(enumerate(r), r)) for r in x._vals]
 
 
 def _integer_image(x: ExactMatrix):
-    """(D, the rows of D*x as (column, entry) lists over their nonzeros)
-    for the least common denominator D of the entries of x over Q."""
-    big = lcm(*map(_denominator, x._vals))
-    return big, _sparse([_numerators(r, big) for r in x._vals])
-
-
-def _sparse(rows) -> list[list[tuple]]:
-    """Each row as the (column, entry) list of its nonzeros."""
-    return [[(j, b) for j, b in enumerate(row) if b] for row in rows]
+    """(D, the rows of D*x) for the least common denominator D of the
+    entries of x over Q."""
+    rows = _nonzeros(x)
+    big = lcm(*(_denominator(r.values()) for r in rows))
+    return big, [_scaled(r, big) for r in rows]
 
 
 def _integer_factors(y: ExactMatrix):
-    """The rows of an integer image of y as (column, entry) lists over
-    their nonzeros, and lift(left) -> (rows, value) for raw rows left of
-    width y.n: their integer images, and the raw value value(i, v) of a
-    nonzero integer sum v in row i of left * y."""
+    """The rows of an integer image of y, and lift(left) -> (rows, value)
+    for rows left of raw values of y's field: their integer images, and the
+    raw value value(i, v) of an integer sum v in row i of left * y."""
     n, p, k = y.n, y.spec.char, y.spec.degree
     if p == 0:
         # row i of left over its common denominator d_i, all of y over D
-        big, sparse = _integer_image(y)
+        big, right = _integer_image(y)
 
         def lift(left):
-            dens = [_denominator(r) for r in left]
-            return ([_numerators(r, d) for r, d in zip(left, dens)],
+            dens = [_denominator(r.values()) for r in left]
+            return ([_scaled(r, d) for r, d in zip(left, dens)],
                     lambda i, v: Fraction(v, dens[i] * big))
-        return sparse, lift
+        return right, lift
     if k == 1:
-        right, lift = y._vals, lambda left: (left, lambda i, v: v % p)
-    else:
-        # GF(p^k): an entry's coefficients move from the field's slots to
-        # wider ones.  A slot of a sum of n products of entries is at most
-        # n*k*(p-1)^2, so no slot carries into the next.  Entries and sums
-        # repeat in small fields, so each distinct one is repacked or
-        # reduced once.
-        ops = y.spec.ops
-        bits = (n * k * (p - 1) ** 2).bit_length()
-        write, read = _slot_codec(k, bits)[1], _slot_codec(2 * k - 1, bits)[0]
+        return _nonzeros(y), lambda left: (left, lambda i, v: v % p)
+    # GF(p^k): an entry's coefficients move from the field's slots to wider
+    # ones.  A slot of a sum of n products of entries is at most
+    # n*k*(p-1)^2, so no slot carries into the next.  Entries and sums
+    # repeat in small fields, so each distinct one is repacked or reduced
+    # once.
+    ops = y.spec.ops
+    bits = (n * k * (p - 1) ** 2).bit_length()
+    write, read = _slot_codec(k, bits)[1], _slot_codec(2 * k - 1, bits)[0]
 
-        @lru_cache(maxsize=None)
-        def pack(val):
-            return write(ops.coeffs(val))
+    @lru_cache(maxsize=None)
+    def pack(val):
+        return write(ops.coeffs(val))
 
-        @lru_cache(maxsize=None)
-        def unpack(v):
-            return ops.fold(read(v))
-        right = [list(map(pack, r)) for r in y._vals]
+    @lru_cache(maxsize=None)
+    def unpack(v):
+        return ops.fold(read(v))
 
-        def lift(left):
-            return [list(map(pack, r)) for r in left], lambda i, v: unpack(v)
-    return _sparse(right), lift
+    def lift(left):
+        return ([{j: pack(a) for j, a in r.items()} for r in left],
+                lambda i, v: unpack(v))
+    return lift(_nonzeros(y))[0], lift
 
 
-def _product(left, value, right, zero) -> list[list]:
-    """Rows of left times right over the integers: left is any number of
-    rows of width n and right the n sparse rows of _integer_factors.  Row
-    i sums a_ik times row k of right, over the nonzero a_ik and row k's
-    nonzeros; a nonzero sum v becomes value(i, v), a zero sum ``zero``.
-    With value None the integer sums are returned as they are."""
+def _product(left, value, right) -> list[dict]:
+    """Rows of left times right over the integers: row i sums a_ik times
+    row k of right over the nonzeros a_ik, and a nonzero sum v becomes
+    value(i, v), dropped when it is zero."""
     out = []
-    for i, row_i in enumerate(left):
-        acc = [0] * len(right)
-        for a, sparse_k in zip(row_i, right):
-            if a and sparse_k:
-                for j, b in sparse_k:
-                    acc[j] += a * b
-        out.append(acc if value is None
-                   else [value(i, v) if v else zero for v in acc])
+    for i, row in enumerate(left):
+        acc = {}
+        get = acc.get
+        for k, a in row.items():
+            for j, b in right[k].items():
+                acc[j] = get(j, 0) + a * b
+        out.append({j: w for j, v in acc.items() if v and (w := value(i, v))})
     return out
 
 
@@ -289,72 +296,88 @@ def _product(left, value, right, zero) -> list[list]:
 
 def _arithmetic(x: ExactMatrix):
     """(D, times, value, reduce): the one choice of arithmetic for the image
-    rows of x's field.  Over Q an image row is a row of integers, times(rows)
-    is rows times the integer image D*x, value(v, e) is v/e as a Fraction,
-    and reduce divides a row by the gcd of its entries, which changes no
-    row space, and runs ``_bareiss_reduce``.  Over a finite field an image
-    row is a row of raw values, D = 1, times(rows) is rows times x, value(v,
-    e) is v, as e is then 1, and reduce is ``_eliminate``.  Identity rows
-    are 0s and 1s in every field.  reduce(row, pivots) reduces the row
-    against pivots, the (column, row) pairs found so far, each row zero in
-    the earlier pivot columns; a nonzero result enters pivots under its
-    first nonzero column, which is returned, and a zero row returns None."""
+    rows (dicts of nonzeros) of x's field.  Over Q an image row holds integers, times(rows) is
+    rows times the integer image D*x, value(v, e) is v/e as a Fraction, and
+    reduce subtracts fraction-free and divides by the content.  Over a
+    finite field an image row holds raw values, D = 1, times(rows) is rows
+    times x, value(v, e) is v, as e is then 1, and reduce subtracts
+    unscaled pivots.  Identity rows are 0s and 1s in every field.
+    reduce(row, pivots) is ``_reduce``."""
     if x.spec.char == 0:
         big, right = _integer_image(x)
-
-        def reduce(row, pivots):
-            g = gcd(*row)
-            return _bareiss_reduce([a // g for a in row] if g > 1 else row,
-                                   pivots)
-        return (big, lambda rows: _product(rows, None, right, 0), Fraction,
-                reduce)
+        return (big, lambda rows: _product(rows, lambda i, v: v, right),
+                Fraction, lambda row, pivots: _reduce(_primitive(row), pivots,
+                                                      _subtract_integers))
     right, lift = _integer_factors(x)
-    ops = x.spec.ops
-    return (1, lambda rows: _product(*lift(rows), right, ops.zero),
-            lambda v, e: v, lambda row, pivots: _eliminate(row, pivots, ops))
+    subtract = _subtract_raw(x.spec.ops)
+    return (1, lambda rows: _product(*lift(rows), right), lambda v, e: v,
+            lambda row, pivots: _reduce(row, pivots, subtract))
 
 
-def _bareiss_reduce(row: list[int], pivots: list[tuple[int, list[int]]]):
-    """Reduce an integer row fraction-free (Bareiss) against pivots: step j
-    sets row to (p_j * row - row[c_j] * r_j) / p_(j-1), p_j = r_j[c_j] and
-    p_0 = 1, an exact division that keeps each entry a minor of the input.
-    Pivots and the result as for ``_arithmetic``."""
-    prev = 1
-    for col, pivot_row in pivots:
-        f, pv = row[col], pivot_row[col]
-        if f:
-            row = [(pv * a - f * b) // prev for a, b in zip(row, pivot_row)]
-        elif pv != prev:
-            row = [pv * a // prev for a in row]
-        prev = pv
-    return _enter(row, pivots)
+def _reduce(row: dict, pivots: dict, subtract):
+    """Reduce a row in place against pivots {lead: pivot row}, a pivot
+    row's lead being its least column: while the row's least column leads
+    a pivot, subtract(row, pivot, lead) clears it.  A nonzero combination
+    of pivots leads at the least lead it uses, so the row left is zero
+    (None is returned) or independent of the pivots: it enters them under
+    its least column, which is returned."""
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = row
+            return lead
+        subtract(row, pivot, lead)
+    return None
 
 
-def _eliminate(row: list, pivots: list[tuple[int, list]], ops):
-    """Reduce a row of raw values against pivots: subtract f / r_j[c_j]
-    times each pivot row r_j whose column c_j holds f != 0 in the row.
-    Pivot rows stay unscaled, so a pivot is inverted only when a row needs
-    it.  Pivots and the result as for ``_arithmetic``; a raw value is false
-    exactly when it is zero, in every field."""
-    mul, inv, submul = ops.mul, ops.inv, ops.submul
-    for col, pivot_row in pivots:
-        f = row[col]
-        if f:
-            f = mul(f, inv(pivot_row[col]))
-            row = [submul(a, f, b) if b else a
-                   for a, b in zip(row, pivot_row)]
-    return _enter(row, pivots)
+def _primitive(row: dict) -> dict:
+    """Divide an integer row in place by its content."""
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return row
 
 
-def _enter(row, pivots):
-    """Append a nonzero reduced row to pivots under its first nonzero
-    column and return that column; None for a zero row.  The entries
-    before the first nonzero one are zero, so ``index`` finds it."""
-    lead = next(filter(None, row), None)
-    if lead is None:
-        return None
-    pivots.append((row.index(lead), row))
-    return pivots[-1][0]
+def _subtract_integers(row: dict, pivot: dict, lead: int):
+    """row := (p/g)*row - (f/g)*pivot for the entries f and p at lead and
+    g = gcd(f, p) of p's sign, divided by its content, without which a
+    dense row grows with every pivot it meets."""
+    f, pv = row[lead], pivot[lead]
+    g = gcd(f, pv) if pv > 0 else -gcd(f, pv)
+    f, pv = f // g, pv // g
+    if pv != 1:
+        for j in row:
+            row[j] *= pv
+    get = row.get
+    for j, b in pivot.items():
+        v = get(j, 0) - f * b
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    _primitive(row)
+
+
+def _subtract_raw(ops):
+    """subtract(row, pivot, lead): the row minus f/p times the pivot, for
+    the entries f and p at lead, on raw values; the raw one is 1 in every
+    field, and a product with it is skipped."""
+    mul, inv, sub, submul = ops.mul, ops.inv, ops.sub, ops.submul
+
+    def subtract(row, pivot, lead):
+        f, pv = row[lead], pivot[lead]
+        if pv != 1:
+            f = mul(f, inv(pv))
+        get = row.get
+        for j, b in pivot.items():
+            v = sub(get(j, 0), f) if b == 1 else submul(get(j, 0), f, b)
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+    return subtract
 
 
 def _power_ranks(x: ExactMatrix):
@@ -364,12 +387,12 @@ def _power_ranks(x: ExactMatrix):
     the products; their pivot rows are a basis of R_k.  Stops after rank
     0, and never when x is not nilpotent."""
     _, times, _, reduce = _arithmetic(x)
-    rows = [[int(i == j) for j in range(x.n)] for i in range(x.n)]
+    rows = [{i: 1} for i in range(x.n)]
     while rows:
-        pivots = []
+        pivots = {}
         for row in times(rows):
             reduce(row, pivots)
-        rows = [row for _, row in pivots]
+        rows = list(pivots.values())
         yield len(rows)
 
 
@@ -395,20 +418,24 @@ def poly_eval(f: Poly, x: ExactMatrix) -> ExactMatrix:
     if f.is_zero:
         return ExactMatrix.zeros(spec, n)
     big, times, value, _ = _arithmetic(x)
-    add, zero = spec.ops.add, spec.ops.zero
+    add = spec.ops.add
     den = _denominator(f.vals)
-    *lower, lead = _numerators(f.vals, den)
-    acc = [[lead if i == j else 0 for j in range(n)] for i in range(n)]
+    *lower, lead = _scaled(dict(enumerate(f.vals)), den).values()
+    acc = [{i: lead} for i in range(n)]
     scale = 1                                       # D^(d-i) at step i
     for c in reversed(lower):
         acc = times(acc)
         scale *= big
         if c:
             for i, row in enumerate(acc):
-                row[i] = add(row[i], c * scale)
+                v = add(row.get(i, 0), c * scale)
+                if v:
+                    row[i] = v
+                else:
+                    del row[i]
     den *= scale
-    return ExactMatrix._of(spec, [[value(v, den) if v else zero for v in row]
-                                  for row in acc])
+    return ExactMatrix._of_nonzeros(spec, [
+        {j: value(v, den) for j, v in row.items()} for row in acc])
 
 
 def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
@@ -428,50 +455,67 @@ def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
     n, spec = x.n, x.spec
     nn, zero, sub = n * n, spec.ops.zero, spec.ops.sub
     _, times, value, reduce = _arithmetic(x)
-    image = times([[int(i == j) for j in range(n)] for i in range(n)])
-    pivots, basis = [], []
+    image = times([{i: 1} for i in range(n)])
+    columns = [{} for _ in range(n)]
+    for i, row in enumerate(image):
+        for j, a in row.items():
+            columns[j][i] = a
+    pivots, basis = {}, []
     for r in range(n):
         for c in range(n):
             # column c of X E_rc is column r of X; row r of E_rc X is row c
-            row = [0] * (2 * nn)
-            for i in range(n):
-                row[i * n + c] = image[i][r]
-            for j in range(n):
-                row[r * n + j] = sub(row[r * n + j], image[c][j])
+            row = {i * n + c: a for i, a in columns[r].items()}
+            for j, b in image[c].items():
+                v = sub(row.get(r * n + j, 0), b)
+                if v:
+                    row[r * n + j] = v
+                else:
+                    del row[r * n + j]
             row[nn + r * n + c] = 1
-            if reduce(row, pivots) >= nn:
-                tail = pivots.pop()[1][nn:]
-                e = tail[r * n + c]
-                basis.append(ExactMatrix._of(spec, [
-                    [value(v, e) if v else zero for v in tail[i:i + n]]
-                    for i in range(0, nn, n)]))
+            lead = reduce(row, pivots)
+            if lead >= nn:
+                tail = pivots.pop(lead)
+                e = tail[nn + r * n + c]
+                vals = [[zero] * n for _ in range(n)]
+                for u, v in tail.items():
+                    vals[(u - nn) // n][(u - nn) % n] = value(v, e)
+                basis.append(ExactMatrix._of(spec, vals))
     return basis
 
 
 def minimal_polynomial(x: ExactMatrix) -> Poly:
-    """Monic least-degree annihilator, the first linear dependency among
-    the vectorized powers I, x, ..., x^n (the empty matrix has 1).
+    """Monic least-degree annihilator, the lcm of the local minimal
+    polynomials of the unit vectors (the empty matrix has 1).
 
-    The powers of the image X = D*x enter one at a time, each as the row
-    [vec(X^d) | e_d] whose tail records its combination of I, X, ..., X^d,
-    and are reduced against the pivot rows of the earlier ones.  The first
-    power whose reduced row leads in the tail (column >= n^2) gives
-    sum a_i X^i = 0, so the minimal polynomial is
-    sum a_i D^i t^i / (a_d D^d); by Cayley-Hamilton it comes by d = n."""
+    For i = 1, ..., n, e_i is skipped when it lies in the span of the
+    Krylov vectors found so far, for the image X = D*x; otherwise it
+    enters the span.  Then the rows [e_i X^d | e_d], whose tail records
+    the combination of the e_i X^j, enter one at a time against pivots of
+    their own; the first that leads in its tail (column >= n) gives
+    sum a_j e_i X^j = 0 with d least, so e_i's local minimal polynomial is
+    sum a_j D^j t^j / (a_d D^d).  The heads of the pivot rows of e_i X^j
+    for 0 < j < d, which with e_i span the e_i X^j for j < d, join the
+    span.  When the span is the whole space the lcm annihilates every
+    vector, and each local polynomial divides the minimal one."""
     n, spec = x.n, x.spec
-    nn = n * n
     big, times, value, reduce = _arithmetic(x)
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    pivots, d = [], 0
-    while True:
-        row = [a for r in power for a in r] + [0] * (n + 1)
-        row[nn + d] = 1
-        if reduce(row, pivots) >= nn:
+    span, result = {}, Poly.one(spec)
+    for i in range(n):
+        if len(span) == n:
             break
-        power, d = times(power), d + 1
-    comb = pivots[-1][1][nn:]
-    return Poly._of(spec, [value(comb[i], comb[d] * big ** (d - i))
-                           for i in range(d + 1)])
+        if reduce({i: 1}, span) is None:
+            continue
+        pivots, vec, d = {}, {i: 1}, 0
+        while (lead := reduce({**vec, n + d: 1}, pivots)) < n:
+            vec, d = times([vec])[0], d + 1
+        for row in list(pivots.values())[1:d]:
+            reduce({j: a for j, a in row.items() if j < n}, span)
+        comb = pivots[lead]
+        local = Poly._of(spec, [
+            value(comb.get(n + j, 0), comb[n + d] * big ** (d - j))
+            for j in range(d + 1)])
+        result = result * (local // result.gcd(local))
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ centralizers, minimal polynomials and the JSON file format."""
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -12,14 +14,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from nilclose import matrices, oracle
-from nilclose.errors import DimensionMismatch, FieldMismatch, MalformedMatrix
+from nilclose.errors import (DimensionMismatch, FieldMismatch, MalformedMatrix,
+                             NotNilpotent)
 from nilclose.field import Poly, galois, rationals
 from nilclose.jordan import (Partition, jordan_chevalley, jordan_matrix,
-                             jordan_partition)
+                             jordan_partition, partition_from_defects)
 from nilclose.matrices import (
     ExactMatrix,
-    _bareiss_reduce,
-    _eliminate,
     centralizer_basis,
     load_matrix,
     matrix_from_json,
@@ -107,9 +108,9 @@ def test_rank_agrees_across_backends():
 
 
 def test_rank_product_inequality():
-    """Sylvester's bound, and rank-nullity: ``rank`` (``_bareiss_reduce``
-    over Q, ``_eliminate`` over GF(7)) against the kernel of a dense
-    Gauss-Jordan elimination on Scalars."""
+    """Sylvester's bound, and rank-nullity: ``rank`` (on integer rows over
+    Q, on raw rows over GF(7)) against the kernel of a dense Gauss-Jordan
+    elimination on Scalars."""
     rng = random.Random(17)
     for spec, lo, hi in ((GF7, 0, 6), (Q, -3, 3)):
         for _ in range(50):
@@ -122,7 +123,7 @@ def test_rank_product_inequality():
             assert rank(x) + len(_dense_nullspace(x.rows, spec, n)) == n
 
 
-def _bareiss_input(rng):
+def _integer_input(rng):
     """Integer rows with entries up to 10^6 in absolute value: rectangular,
     dense or sparse, or rank-deficient (combinations of fewer basis rows)
     with zero and duplicate rows."""
@@ -142,37 +143,39 @@ def _bareiss_input(rng):
     return rows
 
 
-def test_bareiss_reduce_spans_the_row_space():
-    """``_bareiss_reduce``, the fraction-free elimination behind ``rank``,
-    the row-space chain and minimal polynomials over Q.  Fed the rows one by
-    one, each pivot row leads at its recorded column and is zero in the
-    columns of the earlier pivots; each of its entries is the minor of the
-    input rows that made the pivots so far, on their pivot columns and
-    that entry's column, so the exact divisions kept every entry a minor;
-    and the pivots span the input's row space, by a dense Gauss-Jordan
-    elimination over Q."""
+def _row_nonzeros(row):
+    """A dense row as the dict {column: entry} of its nonzeros, the row
+    that the kernels reduce."""
+    return {j: a for j, a in enumerate(row) if a}
+
+
+def test_integer_reduce_spans_the_row_space():
+    """The reduction over Q, behind ``rank``, the row-space chain,
+    centralizer bases and minimal polynomials, fed the integer rows one by
+    one as dicts of nonzeros: a row enters exactly when the earlier rows do
+    not span it; each pivot is kept under its lead, its least column, holds
+    only nonzero Python ints and has content 1; and the pivots span the
+    input's row space, by a dense Gauss-Jordan elimination over Q."""
+    reduce_row = matrices._arithmetic(ExactMatrix(Q, []))[3]
+
+    def rank_over_q(int_rows):
+        return len(_dense_rref([[Q.from_int(a) for a in r]
+                                for r in int_rows])[1])
     rng = random.Random(41)
     for _ in range(120):
-        rows = _bareiss_input(rng)
-        pivots, sources = [], []
-        for row in rows:
-            col = _bareiss_reduce(list(row), pivots)
-            if col is not None:
-                sources.append(row)
-                assert pivots[-1][0] == col
-        for j, (col, prow) in enumerate(pivots):
-            assert prow[col] and not any(prow[:col])
-            assert all(prow[c] == 0 for c, _ in pivots[:j])
-            cols = [c for c, _ in pivots[:j]]
-            for c, a in enumerate(prow):
-                minor = [[r[cc] for cc in cols + [c]] for r in sources[:j + 1]]
-                assert a == sympy.Matrix(minor).det()
-
-        def rank_over_q(int_rows):
-            return len(_dense_rref([[Q.from_int(a) for a in r]
-                                    for r in int_rows])[1])
-        assert rank_over_q(rows) == rank_over_q(
-            rows + [r for _, r in pivots]) == len(pivots)
+        rows = _integer_input(rng)
+        ranks = [rank_over_q(rows[:i]) for i in range(len(rows) + 1)]
+        pivots = {}
+        for i, row in enumerate(rows):
+            entered = reduce_row(_row_nonzeros(row), pivots) is not None
+            assert entered == (ranks[i + 1] > ranks[i])
+        for col, prow in pivots.items():
+            assert min(prow) == col and all(prow.values())
+            assert all(type(a) is int for a in prow.values())
+            assert math.gcd(*prow.values()) == 1
+        dense = [[prow.get(j, 0) for j in range(len(rows[0]))]
+                 for prow in pivots.values()]
+        assert rank_over_q(rows) == rank_over_q(rows + dense) == len(pivots)
 
 
 def _dense_product(x, y):
@@ -247,8 +250,11 @@ def _sparse_rows(spec, nrows, ncols, density, rng):
                                   galois(3, 2), galois(3, 3), galois(2, 12)],
                          ids=str)
 def test_zero_skipping_kernels_match_dense_reference(spec):
-    """Products and ranks skip zero entries; a dense triple loop and a
-    dense Gauss-Jordan elimination must give the same results."""
+    """Products and ranks visit only nonzero entries; a dense triple loop
+    and a dense Gauss-Jordan elimination must give the same results.  On
+    the sparse edge cases of ``_edge_matrices`` the products, the rank,
+    the Jordan type (or NotNilpotent) and the centralizer basis must also
+    equal those of the dense references."""
     rng = random.Random(2024)
     for tenths in range(1, 11):
         density = tenths / 10
@@ -258,6 +264,68 @@ def test_zero_skipping_kernels_match_dense_reference(spec):
             y = ExactMatrix(spec, _sparse_rows(spec, n, n, density, rng))
             assert x * y == _dense_product(x, y)
             assert rank(x) == len(_dense_rref(x.rows)[1])
+    for x in _edge_matrices(spec, rng):
+        y = ExactMatrix(spec, _sparse_rows(spec, x.n, x.n, 0.5, rng)
+                        if x.n else [])
+        for a, b in ((x, x), (x, y), (y, x)):
+            assert a * b == _dense_product(a, b)
+        assert rank(x) == len(_dense_rref(x.rows)[1])
+        expected = _dense_partition(x)
+        if expected is None:
+            with pytest.raises(NotNilpotent):
+                jordan_partition(x)
+        else:
+            assert jordan_partition(x) == expected
+        assert [list(map(list, b.rows))
+                for b in centralizer_basis(x)] == _dense_centralizer(x)
+
+
+def _edge_matrices(spec, rng):
+    """Sparse edge cases: the 0 x 0 and 1 x 1 matrices, zero rows and
+    zero columns, a single nonzero entry on and off the diagonal, a Jordan
+    matrix with its rows permuted, with its columns permuted and with both
+    (a nilpotent conjugate), and a dense block padded with zeros."""
+    zero = spec.zero()
+
+    def nonzero():
+        return _sparse_rows(spec, 1, 1, 1, rng)[0][0] or spec.one()
+
+    def matrix(rows):
+        return ExactMatrix(spec, rows)
+    cases = [matrix([]), matrix([[zero]]), matrix([[nonzero()]])]
+    n = 5
+    rows = _sparse_rows(spec, n, n, 1, rng)
+    for i in (1, 3):
+        rows[i] = [zero] * n
+    for row in rows:
+        row[2] = zero
+    cases.append(matrix(rows))
+    for i, j in ((2, 2), (0, 4), (4, 1)):
+        rows = [[zero] * n for _ in range(n)]
+        rows[i][j] = nonzero()
+        cases.append(matrix(rows))
+    jordan = jordan_matrix(Partition([3, 2, 1]), 6, spec).rows
+    perm = rng.sample(range(6), 6)
+    cases += [matrix([jordan[p] for p in perm]),
+              matrix([[row[p] for p in perm] for row in jordan]),
+              matrix([[jordan[p][q] for q in perm] for p in perm])]
+    block = _sparse_rows(spec, 3, 3, 1, rng)
+    cases.append(matrix([[block[i - 1][j - 2] if 1 <= i < 4 and 2 <= j < 5
+                          else zero for j in range(6)] for i in range(6)]))
+    return cases
+
+
+def _dense_partition(x):
+    """The Jordan type of x from the defects of its powers, each formed by
+    ``_dense_product`` and ranked by ``_dense_rref``; None when x^n is not
+    zero."""
+    n, defects, power = x.n, [], x
+    for _ in range(n):
+        defects.append(n - len(_dense_rref(power.rows)[1]))
+        if defects[-1] == n:
+            return partition_from_defects(defects)
+        power = _dense_product(power, x)
+    return Partition([]) if n == 0 else None
 
 
 @pytest.mark.parametrize("spec", [Q, GF7, GF4, galois(2, 3)], ids=str)
@@ -386,11 +454,16 @@ def test_centralizer_basis_is_the_dense_nullspace(spec):
         cases.append(jordan_matrix(Partition(parts), n, spec)
                      + ExactMatrix.identity(spec, n).scale(shift))
         for x in cases:
-            expected = [[vec[i:i + n] for i in range(0, n * n, n)]
-                        for vec in _dense_nullspace(_commutation_system(x),
-                                                    spec, n * n)]
             assert [list(map(list, y.rows))
-                    for y in centralizer_basis(x)] == expected
+                    for y in centralizer_basis(x)] == _dense_centralizer(x)
+
+
+def _dense_centralizer(x):
+    """The null space of the commutation system by a dense Gauss-Jordan
+    elimination on Scalars, as n x n lists of lists."""
+    n = x.n
+    return [[vec[i:i + n] for i in range(0, n * n, n)]
+            for vec in _dense_nullspace(_commutation_system(x), x.spec, n * n)]
 
 
 def test_minimal_polynomial():
@@ -423,7 +496,7 @@ def _counting_reduce(monkeypatch):
         big, times, value, reduce = arithmetic(x)
 
         def counting_reduce(row, pivots):
-            reduced.append(list(row))
+            reduced.append(dict(row))
             return reduce(row, pivots)
         return big, times, value, counting_reduce
     monkeypatch.setattr(matrices, "_arithmetic", counting_arithmetic)
@@ -431,40 +504,49 @@ def _counting_reduce(monkeypatch):
 
 
 def test_minimal_polynomial_runs_one_kernel(monkeypatch):
-    """Over a finite field the minimal polynomial is the one kernel vector
-    of the system of the powers I, x, ..., x^n that the incremental
-    elimination meets first: powers are reduced as they come and the first
-    dependency ends the loop, so x^0, ..., x^d are reduced for degree d."""
+    """Over a finite field each local minimal polynomial is the one kernel
+    vector that the Krylov sequence of its unit vector meets first.  The
+    rows reduced: for each e_i, one row that tests it against the span
+    (and enters it), and unless the span held it, the sequence rows
+    [e_i x^j | e_j] for j = 0..d and the span rows e_i x^j for 0 < j < d,
+    for the degree d of the local polynomial.  A cyclic matrix whose e_1
+    is cyclic takes 2d + 1 rows: one sequence of d + 1 rows and d span
+    rows.  The identity takes 3 rows per unit vector; for the 3 x 3 matrix
+    with e_1 x = e_2, e_3 x = e_2 and e_2 x = 0, e_2 lies in the span of
+    e_1 and e_1 x and takes one row."""
     reduced = _counting_reduce(monkeypatch)
     cases = [
-        (ExactMatrix(GF7, []), Poly.one(GF7)),
-        (ExactMatrix.identity(GF7, 4), Poly.from_ints(GF7, [-1, 1])),
-        (jcell(GF4, 3), Poly.from_ints(GF4, [0, 0, 0, 1])),
+        (ExactMatrix(GF7, []), Poly.one(GF7), 0),
+        (ExactMatrix.identity(GF7, 4), Poly.from_ints(GF7, [-1, 1]), 12),
+        (jcell(GF4, 3), Poly.from_ints(GF4, [0, 0, 0, 1]), 7),
+        (ExactMatrix.from_ints(GF7, [[0, 1, 0], [0, 0, 0], [0, 1, 0]]),
+         Poly.from_ints(GF7, [0, 0, 1]), 11),
     ]
-    for x, expected in cases:
+    for x, expected, rows in cases:
         reduced.clear()
         assert minimal_polynomial(x) == expected
-        assert len(reduced) == expected.degree + 1
+        assert len(reduced) == rows
 
 
 def test_minimal_polynomial_over_q_runs_no_kernel(monkeypatch):
-    """Over Q the powers are reduced as they come, x^0, ..., x^d for
-    degree d, and every row reduced is a row of integers: no Fraction
-    system is eliminated, also for fractional entries."""
+    """Over Q the Krylov rows are reduced as they come, counted as in
+    ``test_minimal_polynomial_runs_one_kernel`` (a diagonal matrix takes 3
+    rows per unit vector), and every row reduced is a row of integers: no
+    Fraction system is eliminated, also for fractional entries."""
     reduced = _counting_reduce(monkeypatch)
     cases = [
-        (ExactMatrix(Q, []), Poly.one(Q)),
+        (ExactMatrix(Q, []), Poly.one(Q), 0),
         (ExactMatrix.from_ints(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
-         Poly.from_ints(Q, [2, -3, 1])),
+         Poly.from_ints(Q, [2, -3, 1]), 9),
         (ExactMatrix(Q, [[Q.scalar(Fraction(1, 2)), Q.from_int(0)],
                          [Q.from_int(0), Q.scalar(Fraction(1, 3))]]),
-         Poly.from_ints(Q, [1, -5, 6]).monic()),
+         Poly.from_ints(Q, [1, -5, 6]).monic(), 6),
     ]
-    for x, expected in cases:
+    for x, expected, rows in cases:
         reduced.clear()
         assert minimal_polynomial(x) == expected
-        assert len(reduced) == expected.degree + 1
-        assert all(type(a) is int for row in reduced for a in row)
+        assert len(reduced) == rows
+        assert all(type(a) is int for row in reduced for a in row.values())
 
 
 def test_minimal_polynomial_annihilates():
@@ -609,6 +691,90 @@ def test_minimal_polynomial_over_q_matches_reference(x):
 @given(_finite_field_case(_square_matrix))
 def test_minimal_polynomial_over_finite_fields_matches_reference(case):
     _assert_minimal_polynomial(*case, int)
+
+
+def _companion(f):
+    """The companion matrix of a monic f of degree m: ones above the
+    diagonal and -f_0, ..., -f_(m-1) in the last row; its minimal
+    polynomial is f."""
+    spec, m = f.spec, f.degree
+    rows = [[spec.one() if j == i + 1 else spec.zero() for j in range(m)]
+            for i in range(m - 1)]
+    return ExactMatrix(spec, rows + [[-c for c in f.coeffs[:m]]])
+
+
+def _unit_triangular_conjugate(x, rng):
+    """P x P^-1 for a seeded unit upper triangular P, a product of
+    elementary matrices I + c e_ij with i < j; over Q c is a fraction."""
+    spec, n = x.spec, x.n
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = sorted(rng.sample(range(n), 2))
+        c = (spec.element_from_index(rng.randrange(spec.order))
+             if spec.is_finite else
+             spec.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        e = [[spec.one() if a == b else spec.zero() for b in range(n)]
+             for a in range(n)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c
+        x = ExactMatrix(spec, e) * x * ExactMatrix(spec, e_inv)
+    return x
+
+
+def _direct_sum_cases(spec):
+    """(x, the minimal polynomials of its blocks) for matrices whose
+    minimal polynomial no single unit vector gives: direct sums of two
+    different blocks whose minimal polynomials are equal, share a factor
+    or are coprime; the identity, a scalar matrix, and nilpotent Jordan
+    matrices of mixed types."""
+    one, zero = spec.one(), spec.zero()
+    a = spec.scalar(Fraction(-3, 2)) if spec.char == 0 else one
+    c = (spec.scalar(Fraction(2, 7)) if spec.char == 0
+         else spec.element_from_index(spec.order - 1))
+
+    def linear(r):
+        return Poly(spec, [-r, one])
+    t, s = linear(zero), linear(a)
+    f, g = s * s * t, s * t * t
+    companion_f = _companion(f)
+    transposed_f = ExactMatrix(spec, list(zip(*companion_f.rows)))
+
+    def block_sum(*blocks):
+        return ExactMatrix.block_diag(spec, blocks)
+    return [
+        (block_sum(companion_f, transposed_f), [f, f]),
+        (block_sum(companion_f, _companion(g)), [f, g]),
+        (block_sum(_companion(s * s), _companion(t * t * t)), [s * s, t * t * t]),
+        (ExactMatrix.identity(spec, 4), [linear(one)]),
+        (ExactMatrix.identity(spec, 3).scale(c), [linear(c)]),
+        (jordan_matrix(Partition([3, 1, 1]), 5, spec), [t * t * t]),
+        (jordan_matrix(Partition([2, 2, 1]), 5, spec), [t * t]),
+    ]
+
+
+def _to_sympy(f, t):
+    return sympy.Poly([sympy.Rational(c.val.numerator, c.val.denominator)
+                       for c in reversed(f.coeffs)], t)
+
+
+@pytest.mark.parametrize("spec", [Q, galois(2), GF7, GF4, galois(3, 2)],
+                         ids=str)
+def test_minimal_polynomial_of_direct_sums(spec):
+    """The Krylov minimal polynomial takes the lcm of the local minimal
+    polynomials of several unit vectors.  On direct sums, scalar and
+    nilpotent matrices, each also conjugated by a seeded unit-triangular
+    P so that its blocks do not line up with the unit vectors, it equals
+    the dense reference and, over Q, sympy's lcm of the blocks' minimal
+    polynomials."""
+    rng = random.Random(spec.order if spec.is_finite else 0)
+    t = sympy.Symbol("t")
+    for x, blocks in _direct_sum_cases(spec):
+        for y in (x, _unit_triangular_conjugate(x, rng)):
+            mu = minimal_polynomial(y)
+            assert mu == _reference_minimal_polynomial(y)
+            if spec.char == 0:
+                expected = reduce(sympy.lcm, [_to_sympy(b, t) for b in blocks])
+                assert (_to_sympy(mu, t).all_coeffs()
+                        == expected.monic().all_coeffs())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -780,13 +946,15 @@ def _echelon_input(spec, rng):
 
 @pytest.mark.parametrize("spec", ECHELON_FIELDS, ids=str)
 def test_forward_echelon_counts_the_full_pivots(spec):
-    """``_eliminate``, fed the rows one at a time with its pivot rows kept
-    unscaled, enters exactly the rows that the earlier ones do not span,
-    and their pivot columns are those of the reduced row echelon form of a
-    dense Gauss-Jordan elimination.  Each pivot row leads at its column and
-    is zero in the columns of the pivots found before it; the dense
-    Gauss-Jordan elimination of the pivot rows gives that reduced form, so
-    they span the row space."""
+    """The reduction over a finite field, fed the raw rows one at a time
+    as dicts of nonzeros with its pivot rows kept unscaled, enters exactly
+    the rows that the earlier ones do not span, and the leads of its
+    pivots are the pivot columns of the reduced row echelon form of a
+    dense Gauss-Jordan elimination.  Each pivot is kept under its lead,
+    its least column, and holds only nonzeros; the dense Gauss-Jordan
+    elimination of the pivot rows gives that reduced form, so they span
+    the row space."""
+    reduce_row = matrices._arithmetic(ExactMatrix(spec, []))[3]
     rng = random.Random(spec.order)
     ops = spec.ops
     for _ in range(60):
@@ -794,16 +962,16 @@ def test_forward_echelon_counts_the_full_pivots(spec):
         boxed = [[spec.box(a) for a in r] for r in rows]
         rref, full = _dense_rref(boxed)
         ranks = [len(_dense_rref(boxed[:i])[1]) for i in range(len(rows) + 1)]
-        pivots = []
+        pivots = {}
         for i, row in enumerate(rows):
-            entered = _eliminate(list(row), pivots, ops) is not None
+            entered = reduce_row(_row_nonzeros(row), pivots) is not None
             assert entered == (ranks[i + 1] > ranks[i])
-        assert sorted(col for col, _ in pivots) == full
-        for j, (col, prow) in enumerate(pivots):
-            assert prow[col] and not any(prow[:col])
-            assert not any(prow[c] for c, _ in pivots[:j])
-        reduced, cols = _dense_rref([[spec.box(a) for a in prow]
-                                     for _, prow in pivots])
+        assert sorted(pivots) == full
+        for col, prow in pivots.items():
+            assert min(prow) == col and all(prow.values())
+        reduced, cols = _dense_rref([
+            [spec.box(prow.get(j, ops.zero)) for j in range(len(rows[0]))]
+            for prow in pivots.values()])
         assert cols == full
         assert reduced == rref[:len(full)]
 
