@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .criterion import (
     QSet,
@@ -45,7 +46,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    print(_json_text(data, "\n"))
+
+
+def _json_text(o, newline: str) -> str:
+    """The text of json.dumps(o, indent=2, sort_keys=True) for o whose
+    dict keys are strings; its lines after the first start with newline, a
+    line break and o's indent.  A list of strings is joined by the C string
+    encoder; an element that is not a string raises TypeError there, and
+    the list is written item by item instead."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        try:
+            body = ("," + inner).join(map(_quote, o))
+        except TypeError:
+            body = ("," + inner).join([_json_text(v, inner) for v in o])
+        return "[" + inner + body + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(o.items())]) + newline + "}"
+    return json.dumps(o)
 
 
 def _field_arg(text: str):

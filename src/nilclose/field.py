@@ -757,21 +757,21 @@ class Poly:
         return a.monic()
 
     def xgcd(self, other: "Poly"):
-        """(g, u, v) with u*self + v*other = g, g monic; each remainder is
-        made monic, and its two cofactors are scaled with it."""
+        """(g, v) with v*other = g modulo self, g the monic gcd; each
+        remainder is made monic, and the cofactor v is scaled with it.  The
+        cofactor of self is not carried."""
         self._check(other)
-        spec, ops = self.spec, self.spec.ops
+        ops = self.spec.ops
 
-        def normalised(r, s, t):
+        def normalised(r, t):
             c = ops.inv(r.vals[-1]) if r.vals else ops.one
-            return r._scale(c), s._scale(c), t._scale(c)
-        r0, s0, t0 = self, Poly.one(spec), Poly.zero(spec)
-        r1, s1, t1 = other, Poly.zero(spec), Poly.one(spec)
+            return r._scale(c), t._scale(c)
+        r0, t0 = self, Poly.zero(self.spec)
+        r1, t1 = other, Poly.one(self.spec)
         while not r1.is_zero:
             q, r = divmod(r0, r1)
-            (r0, s0, t0), (r1, s1, t1) = (r1, s1, t1), normalised(
-                r, s0 - q * s1, t0 - q * t1)
-        return normalised(r0, s0, t0)
+            (r0, t0), (r1, t1) = (r1, t1), normalised(r, t0 - q * t1)
+        return normalised(r0, t0)
 
     def __str__(self):
         if self.is_zero:

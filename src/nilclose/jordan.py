@@ -170,7 +170,7 @@ def jordan_chevalley(x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     if f1 == mu:
         _log.debug("jordan-chevalley n=%d over %s: semisimple", n, spec)
         return x, ExactMatrix.zeros(spec, n)
-    gcd_fd, _, g = f1.xgcd(f1.derivative())  # g * f1' = 1 modulo f1
+    gcd_fd, g = f1.xgcd(f1.derivative())  # g * f1' = 1 modulo f1
     if gcd_fd.degree != 0:
         raise InseparableMinimalPolynomial(
             f"squarefree part {f1} shares a factor with its derivative")

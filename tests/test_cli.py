@@ -1,5 +1,7 @@
 """Command-line interface: output formats, exit codes and round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,11 @@ import textwrap
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nilclose
 from nilclose import oracle, witness
-from nilclose.cli import main
+from nilclose.cli import _emit, main
 from nilclose.criterion import ENUMERATION_LIMIT
 from nilclose.field import PRIMALITY_LIMIT, rationals
 from nilclose.matrices import ExactMatrix, matrix_from_json, matrix_to_json
@@ -489,3 +492,58 @@ def test_main_runs_again_with_its_cached_parser(capsys):
     code, out, _ = run(capsys, "criterion", "--n", "4", "--char", "0",
                        "--q", "2,3", "--json")
     assert code == 0 and json.loads(out)["verdict"] == "accept"
+
+
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€😀'),
+                               st.characters()))
+_JSON_TREE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(2 ** 64, 2 ** 80).map(lambda v: v * (-1) ** v),
+              st.floats(), _JSON_TEXT, st.lists(_JSON_TEXT)),
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.lists(st.one_of(_JSON_TEXT, children)),
+        st.dictionaries(_JSON_TEXT, children)),
+    max_leaves=15)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_JSON_TREE)
+def test_emit_prints_the_bytes_of_json_dumps(tree):
+    """``_emit`` prints json.dumps(tree, indent=2, sort_keys=True): strings
+    with quotes, backslashes, control and non-ASCII characters, big ints,
+    true, false, null, empty and nested lists and dicts, and lists of
+    strings mixed with other values."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(tree)
+    assert out.getvalue() == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["criterion", "--n", "6", "--char", "0", "--q", "2,3,5"],
+    ["enumerate", "--n", "5", "--char", "2"],
+    ["partition", "--input", "{nilpotent}"],
+    ["member", "--input", "{nilpotent}", "--q", "2,3"],
+    ["witness", "--n", "6", "--char", "2", "--q", "2,3,5"],
+    ["witness", "--n", "4", "--char", "0", "--q", "2,3"],
+    ["verify", "--n", "4", "--field", "GF(3)", "--q", "2"],
+    ["verify", "--n", "4", "--field", "GF(3)", "--q", "2,3", "--mode",
+     "sampled", "--samples", "5", "--seed", "1"],
+    ["decompose", "--input", "{general}"],
+    ["cross-validate", "--n", "3", "--char", "2", "--degrees", "1,2"],
+], ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
+def test_json_output_is_json_dumps_indented(capsys, tmp_path, argv):
+    """Every command's --json output is exactly the indented, key-sorted
+    json.dumps text of what it holds."""
+    q_field = rationals()
+    paths = {}
+    for name, eigenvalue in (("nilpotent", 0), ("general", 2)):
+        x = ExactMatrix.block_diag(q_field, [
+            ExactMatrix.jordan_cell(q_field, q_field.from_int(eigenvalue), 2),
+            ExactMatrix.jordan_cell(q_field, q_field.zero(), 3)])
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(matrix_to_json(x)))
+    code, out, _ = run(capsys, *(a.format(**paths) for a in argv), "--json")
+    assert code in (0, 2) and out.startswith(("{", "["))
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -444,7 +444,7 @@ def _fixed_step_jordan_chevalley(x):
     and also when x is semisimple."""
     n = x.n
     f1 = squarefree_part(minimal_polynomial(x))
-    _, _, g = f1.xgcd(f1.derivative())
+    _, g = f1.xgcd(f1.derivative())
     steps = max(1, math.ceil(math.log2(n)) + 1) if n > 1 else 1
     s = x
     for _ in range(steps):

@@ -677,8 +677,8 @@ def _assert_minimal_polynomial(x, raw_type):
 
 
 def _assert_identical_matrices(a, b, raw_type):
-    assert a == b and a._vals == b._vals
-    assert all(type(v) is raw_type for row in a._vals for v in row)
+    assert a == b and a._nz == b._nz
+    assert all(type(v) is raw_type for row in a._nz for v in row.values())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -790,6 +790,61 @@ def test_poly_eval_over_finite_fields_matches_reference(case):
     f, x = case
     _assert_identical_matrices(poly_eval(f, x), _reference_poly_eval(f, x),
                                int)
+
+
+STORAGE_FIELDS = [Q, galois(2), GF7, GF4, galois(2, 3)]
+
+
+@st.composite
+def _storage_case(draw):
+    """Two n x n matrices, n <= 5, over one field of STORAGE_FIELDS, the
+    int rows of a third, a scalar (often zero) and a polynomial."""
+    spec = draw(st.sampled_from(STORAGE_FIELDS))
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(spec.zero()), _element(spec))
+    x, y = (ExactMatrix(spec, [[draw(entry) for _ in range(n)]
+                               for _ in range(n)]) for _ in range(2))
+    ints = [[draw(st.integers(-8, 8)) for _ in range(n)] for _ in range(n)]
+    return (x, y, ints, draw(st.one_of(st.just(spec.zero()), _element(spec))),
+            draw(_polynomial(spec)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_storage_case())
+def test_storage_holds_only_nonzeros(case):
+    """Every constructor and operation stores n rows of nonzeros, also
+    where entries cancel (x + (-x), x - x, a product and a polynomial value
+    that come out zero); two matrices are equal exactly when their entries
+    are, and equal matrices hash equal whatever order their rows were
+    built in."""
+    x, y, ints, c, f = case
+    spec, n = x.spec, x.n
+    zero = spec.zero()
+    upper = ExactMatrix(spec, [[x.rows[i][j] if j > i else zero
+                                for j in range(n)] for i in range(n)])
+    cell = ExactMatrix.jordan_cell(spec, zero, n)
+    cancelled = [x + (-x), x - x, upper.power(n), cell.power(n - 1) * cell
+                 if n else cell, x.scale(zero),
+                 poly_eval(minimal_polynomial(x), x)]
+    assert all(m.is_zero and m == ExactMatrix.zeros(spec, n)
+               for m in cancelled)
+    mats = [x, y, upper, cell, *cancelled, ExactMatrix.from_ints(spec, ints),
+            ExactMatrix.identity(spec, n), ExactMatrix.zeros(spec, n),
+            ExactMatrix.jordan_cell(spec, c, n),
+            ExactMatrix.block_diag(spec, [x, y]),
+            ExactMatrix.block_diag(spec, [y], n + 2), x + y, y + x, x - y,
+            -x, x.scale(c), x * y, y * x, x.power(3), poly_eval(f, x),
+            *centralizer_basis(x),
+            matrix_from_json(json.loads(json.dumps(matrix_to_json(x))))]
+    for m in mats:
+        assert len(m._nz) == m.n
+        for row in m._nz:
+            assert type(row) is dict and all(0 <= j < m.n for j in row)
+            assert not any(map(spec.ops.is_zero, row.values()))
+    for a in mats:
+        for b in mats:
+            assert (a == b) == (a.rows == b.rows)
+            assert a != b or hash(a) == hash(b)
 
 
 def test_json_file_round_trip(tmp_path):
