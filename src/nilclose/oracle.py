@@ -23,6 +23,16 @@ Partitions are computed once per scalar class: lam*Y has the partition of
 Y, and X + c*(lam*Y) that of X + (c*lam)*Y, so only the Y whose first
 nonzero coordinate is one are partitioned.
 
+Each pair of Jordan types is checked in one table.  A commuting pair (X, Y)
+with Y of type t is conjugate to a pair (J_t, X') with X' of the type p of
+X, and X + c*Y = c*(Y + (1/c)*X) has the type of J_t + (1/c)*X', so the
+table of t lists the same verdicts.  The table of p therefore partitions
+X + c*Y only where t is at or below p in descending lexicographic order,
+zero included.  The exhaustive check walks the admissible types in that
+order and stops at the first table with a hit, so a kept Y of an admitted
+type t above p was already checked, with no hit, in the table of t: the
+first hit, its witness and the counts are those of the full tables.
+
 Jordan types are read off the ranks r_j of the powers.  The drops
 r_(j-1) - r_j count the cells of size >= j, so they never grow (the Weyr
 characteristic; H. Shapiro, Amer. Math. Monthly 106 (1999) 919-929), and a
@@ -258,19 +268,30 @@ def _defect_codes(mats: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
     return codes
 
 
-def _batch_partitions(mats: np.ndarray, n: int, k: int, p: int):
-    """Jordan partitions of a batch of nilpotent regular-representation
-    matrices, as (ids, partitions): partitions[ids[i]] is the descending
-    part tuple of mats[i], and each distinct partition appears once."""
+def _batch_codes(mats: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
+    """`_defect_codes` of a batch of any length, a chunk at a time."""
     codes = np.empty(len(mats), dtype=np.int64)
     for start in range(0, len(mats), _PARTITION_CHUNK):
         stop = start + _PARTITION_CHUNK
         codes[start:stop] = _defect_codes(mats[start:stop], n, k, p)
+    return codes
+
+
+def _code_partitions(codes: np.ndarray, n: int):
+    """Jordan partitions of defect codes, as (ids, partitions):
+    partitions[ids[i]] is the descending part tuple of codes[i], and each
+    distinct partition appears once, in the order of its code."""
     distinct, ids = np.unique(codes, return_inverse=True)
     partitions = [
         partition_from_defects([d for d in range(n + 1) if code >> d & 1]).parts
         for code in distinct.tolist()]
     return ids.reshape(-1), partitions
+
+
+def _batch_partitions(mats: np.ndarray, n: int, k: int, p: int):
+    """Jordan partitions of a batch of nilpotent regular-representation
+    matrices, as `_code_partitions` gives them."""
+    return _code_partitions(_batch_codes(mats, n, k, p), n)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +301,17 @@ def _batch_partitions(mats: np.ndarray, n: int, k: int, p: int):
 @dataclass(frozen=True)
 class _ClosureTable:
     """Every nilpotent Y in the centralizer span of X, in odometer order
-    of its coordinates on `basis`, with the partitions of Y and of X + c*Y.
+    of its coordinates on `basis`, with the partitions of Y and, where
+    this table owns the pair, of X + c*Y.
 
     Each record is lam * R for a representative R, a record whose first
     nonzero coordinate is one (or zero itself).  Y has the partition of R
     and X + c*Y that of X + (c*lam)*R, so partitions are stored per
     representative: `y_partition` and, for c = 1..q-1 by enumeration
-    index, `combo_partitions`, both indexing into `partitions`."""
+    index, `combo_partitions`, both indexing into `partitions`.  `owned`
+    marks the representatives whose type is at or below that of X in
+    descending lexicographic order; the row of `combo_partitions` of any
+    other holds -1, since the table of its type checks the pair."""
     span_size: int
     x: ExactMatrix
     basis: tuple[ExactMatrix, ...]
@@ -294,7 +319,8 @@ class _ClosureTable:
     rep: np.ndarray                     # (records,) representative
     lam: np.ndarray                     # (records,) enumeration index
     y_partition: np.ndarray             # (reps,)
-    combo_partitions: np.ndarray        # (reps, q - 1)
+    owned: np.ndarray                   # (reps,) bool
+    combo_partitions: np.ndarray        # (reps, q - 1), -1 where not owned
     partitions: tuple[tuple[int, ...], ...]
     mul: np.ndarray                     # (q, q) product of enumeration indices
 
@@ -431,8 +457,17 @@ def _nilpotent_records(spec: FieldSpec, x: ExactMatrix, basis, blocks,
             np.concatenate(lams)[order_all], rep_mats)
 
 
+def _owns(p: tuple[int, ...], t: tuple[int, ...]) -> bool:
+    """Whether the table of type p checks the pairs whose Y has type t:
+    those with t at or below p in descending lexicographic order.  The
+    table of t checks the others (see the module notes)."""
+    return t <= p
+
+
 @lru_cache(maxsize=None)
 def _closure_table(spec: FieldSpec, n: int, p: Partition) -> _ClosureTable:
+    """The closure table of the Jordan type p.  Every representative is
+    partitioned, and X + c*R only for those this table owns."""
     start = time.perf_counter()
     char, k, q = spec.char, spec.degree, spec.order
     size = n * k
@@ -443,27 +478,34 @@ def _closure_table(spec: FieldSpec, n: int, p: Partition) -> _ClosureTable:
     y_index, rep, lam, rep_mats = _nilpotent_records(spec, x, basis, blocks,
                                                      dtype)
     listed = time.perf_counter()
-    # slot 0 holds R, slot c holds X + c*R
     reps = len(rep_mats)
-    batch = np.empty((q, reps, size, size), dtype=dtype)
-    batch[0] = rep_mats
+    y_codes = _batch_codes(rep_mats, n, k, char)
+    y_ids, y_types = _code_partitions(y_codes, n)
+    owned = np.array([_owns(p.parts, t) for t in y_types])[y_ids]
+    owned_mats = rep_mats[owned]
+    # slot c - 1 holds X + c*R for the owned representatives R
+    combos = np.empty((q - 1, len(owned_mats), size, size), dtype=dtype)
     x_reg = _regular(x, blocks, dtype)
     eye = np.eye(n, dtype=np.int64)
     for c in range(1, q):
         scale = np.kron(eye, blocks[c]).astype(dtype)
-        batch[c] = (x_reg + np.matmul(scale, rep_mats)) % char
-    ids, partitions = _batch_partitions(batch.reshape(-1, size, size),
-                                        n, k, char)
-    ids = ids.reshape(q, reps)
+        combos[c - 1] = (x_reg + np.matmul(scale, owned_mats)) % char
+    combo_codes = _batch_codes(combos.reshape(-1, size, size), n, k, char)
+    ids, partitions = _code_partitions(
+        np.concatenate([y_codes, combo_codes]), n)
+    combo_partitions = np.full((reps, q - 1), -1, dtype=ids.dtype)
+    combo_partitions[owned] = ids[reps:].reshape(q - 1, -1).T
     coeffs = np.einsum("alm,bm->abl", blocks, blocks[:, :, 0]) % char
     mul = coeffs @ char ** np.arange(k)
     span_size = q ** len(basis)
     _log.debug("closure table %s over %s: span %d, records %d, "
-               "representatives %d, listing %.3f s, partitions %.3f s",
-               p, spec, span_size, len(y_index), reps, listed - start,
+               "representatives %d, combos %d of %d, listing %.3f s, "
+               "partitions %.3f s", p, spec, span_size, len(y_index), reps,
+               len(combo_codes), reps * (q - 1), listed - start,
                time.perf_counter() - listed)
-    return _ClosureTable(span_size, x, basis, y_index, rep, lam, ids[0],
-                         ids[1:].T, tuple(partitions), mul)
+    return _ClosureTable(span_size, x, basis, y_index, rep, lam,
+                         ids[:reps], owned, combo_partitions,
+                         tuple(partitions), mul)
 
 
 def _rebuild_span_element(table: _ClosureTable, y_index: int,
@@ -553,7 +595,9 @@ def exhaustive_check(n: int, spec: FieldSpec, q: QSet,
         admitted = np.array([all(s in qset for s in part if s > 1)
                              for part in table.partitions], dtype=bool)
         rep_kept = admitted[table.y_partition]
-        rep_hit = rep_kept & ~admitted[table.combo_partitions].all(axis=1)
+        # rows that are not owned hold -1, which the mask discards
+        rep_hit = rep_kept & table.owned \
+            & ~admitted[table.combo_partitions].all(axis=1)
         kept = rep_kept[table.rep]
         hits = np.flatnonzero(rep_hit[table.rep])
         if hits.size == 0:

@@ -274,7 +274,9 @@ def test_induced_maps_refuse_a_basis_off_the_coordinates(spec):
 def test_scale_mapping_matches_exact_partitions(spec):
     """For seeded records of every table at n <= 4 that fits the default
     budget, the partitions a table stores for Y and X + c*Y, every c,
-    through its representative and c*lam, are the exact ones."""
+    through its representative and c*lam, are the exact ones.  A record
+    the table does not own has no combination partitions, and its Y has
+    a type above that of X, whose own table checks the pair."""
     rng = random.Random(spec.order)
     for n in (2, 3, 4):
         for part in _partitions(n):
@@ -290,6 +292,10 @@ def test_scale_mapping_matches_exact_partitions(spec):
                     table, int(table.y_index[record]), spec)
                 stored = table.y_partition[table.rep[record]]
                 assert jordan_partition(y).parts == table.partitions[stored]
+                if not table.owned[table.rep[record]]:
+                    assert (table.combo_ids(record) == -1).all()
+                    assert table.partitions[stored] > p.parts
+                    continue
                 combo_ids = table.combo_ids(record)
                 for c in range(1, spec.order):
                     combo = table.x + y.scale(spec.element_from_index(c))
@@ -418,8 +424,9 @@ def test_defect_codes_match_full_rank_chain_on_oracle_sweep(monkeypatch):
     monkeypatch.setattr(oracle, "_defect_codes", checked)
     for part in admissible_partitions(4, qs([2, 3, 4], 4)):
         oracle._closure_table.__wrapped__(GF5, 4, part)
-    # one chunk per table, and two for [2,1,1]
-    assert batches == [160, 785, 19535, 1 << 16, 32124]
+    # per table, the representatives, then X + c*R for c = 1..4 and the
+    # representatives R the table owns
+    assert batches == [32, 128, 157, 628, 3907, 1228, 19532, 848]
 
 
 def _all_nilpotent_3x3_gf2():
@@ -456,6 +463,80 @@ def test_reduction_matches_unreduced_enumeration():
                         unreduced_pass = False
         reduced = exhaustive_check(3, GF2, q)
         assert reduced.passed == unreduced_pass, str(q)
+
+
+# every q at these (field, n), with the budget of the check
+_OWNERSHIP_CASES = [
+    *[(GF2, n, 5_000_000) for n in range(1, 6)],
+    *[(GF3, n, 5_000_000) for n in range(1, 6)],
+    *[(spec, n, 5_000_000) for spec in (GF4, GF5, GF8, GF9)
+      for n in range(1, 5)],
+    (GF2, 6, 1 << 20),      # has [4,1,1] above [3,3]
+]
+
+
+def _reports(spec, n, budget):
+    out = []
+    for q in all_qsets(n):
+        try:
+            out.append(exhaustive_check(n, spec, q, budget=budget).to_json())
+        except BudgetExceeded as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.fixture
+def full_tables(monkeypatch):
+    """Closure tables that partition X + c*Y for every Y, the tables from
+    before each pair of types was checked in one of them."""
+    oracle._closure_table.cache_clear()
+    monkeypatch.setattr(oracle, "_owns", lambda p, t: True)
+    yield
+    oracle._closure_table.cache_clear()
+
+
+def test_owned_pairs_give_the_reports_of_full_tables(request):
+    """The reports, counts and witnesses of tables that check each pair
+    of types once equal those of full tables, for every q."""
+    oracle._closure_table.cache_clear()
+    reduced = [_reports(*case) for case in _OWNERSHIP_CASES]
+    request.getfixturevalue("full_tables")
+    for case, expected in zip(_OWNERSHIP_CASES, reduced):
+        assert _reports(*case) == expected, case
+
+
+def test_full_tables_are_symmetric_in_the_pair_of_types(full_tables):
+    """A commuting pair (X, Y) is conjugate to one with Y a Jordan matrix,
+    so for admitted types p and t some kept Y of type t has a hit in the
+    table of p exactly when some kept Y of type p has one in the table of
+    t.  This is what lets a single table check each pair of types."""
+    for spec, n, budget in _OWNERSHIP_CASES:
+        types = [p for p in admissible_partitions(n, qs(range(2, n + 1), n))
+                 if spec.order ** centralizer_dimension(p) <= budget]
+        tables = {p.parts: oracle._closure_table(spec, n, p) for p in types}
+        for q in all_qsets(n):
+            admitted = [t for t in tables
+                        if all(s in q.elements for s in t if s > 1)]
+            hits = {}
+            for p in admitted:
+                table = tables[p]
+                ok = np.array([all(s in q.elements for s in part if s > 1)
+                               for part in table.partitions])
+                hit = ~ok[table.combo_partitions].all(axis=1)
+                y_types = [table.partitions[i] for i in table.y_partition]
+                hits[p] = {y_types[r] for r in np.flatnonzero(hit)}
+            for p, t in itertools.product(admitted, repeat=2):
+                assert (t in hits[p]) == (p in hits[t]), \
+                    (str(spec), str(q), p, t)
+
+
+def test_admissible_partitions_descend_strictly():
+    """The exhaustive check relies on this order to check each pair of
+    types once."""
+    for n in range(11):
+        for q in all_qsets(n):
+            parts = [p.parts for p in admissible_partitions(n, q)]
+            assert all(a > b for a, b in zip(parts, parts[1:])), (n, str(q))
 
 
 def test_sampled_examples():
@@ -634,7 +715,9 @@ def test_closure_tables_log_one_debug_line_each(caplog):
              if r.name == "nilclose.oracle"]
     assert len(lines) == oracle._closure_table.cache_info().misses == 3
     assert lines[0].startswith("closure table [3,1] over GF(3): span 729, "
-                               "records 81, representatives 41, listing ")
+                               "records 81, representatives 41, "
+                               "combos 82 of 82, listing ")
+    assert "representatives 1094, combos 124 of 2188, " in lines[2]
     assert any(isinstance(h, logging.NullHandler)
                for h in logging.getLogger("nilclose").handlers)
 
